@@ -860,8 +860,9 @@ int RunChaos(const Config& cfg) {
 /// One generation of a key's value: a self-describing header padded to
 /// --value-size, so a scan row verifies from the key index alone.
 std::string SnapGenValue(const Config& cfg, uint64_t idx, int gen) {
-  std::string v =
-      "g" + std::to_string(gen) + "|" + std::to_string(idx) + "|";
+  std::string v = "g";
+  v.append(std::to_string(gen)).append("|");
+  v.append(std::to_string(idx)).append("|");
   if (v.size() < cfg.value_size) v.append(cfg.value_size - v.size(), 's');
   return v;
 }

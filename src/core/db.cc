@@ -555,7 +555,7 @@ Status DB::MultiPut(const std::vector<BatchOp>& batch) {
       if (armed) db->DispatchCommitHook(first, last, ops);
     }
   } settle{this, first_seq, last_seq, nullptr,
-           commit_hook_ != nullptr};
+           commit_hook_ != nullptr, {}};
   std::string records;
   records.reserve(encoded_bound);
   SequenceNumber seq = first_seq;

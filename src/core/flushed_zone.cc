@@ -5,8 +5,8 @@
 #include "core/record_format.h"
 #include "fault/fail_point.h"
 #include "lsm/merger.h"
-#include "lsm/wal.h"
 #include "util/coding.h"
+#include "util/hash.h"
 
 namespace cachekv {
 
@@ -144,7 +144,7 @@ uint32_t FlushedZone::ComputeDataCrc(PmemEnv* env, uint64_t region_offset,
   std::string data(data_tail, '\0');
   env->Load(region_offset + SubMemTable::kDataOffset, data.data(),
             data_tail);
-  return WalCrc(data.data(), data.size());
+  return Checksum(data.data(), data.size());
 }
 
 Status FlushedZone::PersistRegistryLocked() {
@@ -161,7 +161,7 @@ Status FlushedZone::PersistRegistryLocked() {
   }
   std::string encoded;
   PutFixed32(&encoded, static_cast<uint32_t>(body.size()));
-  PutFixed32(&encoded, WalCrc(body.data(), body.size()));
+  PutFixed32(&encoded, Checksum(body.data(), body.size()));
   encoded.append(body);
   if (encoded.size() > registry_slot_size_) {
     return Status::OutOfSpace("zone registry exceeds its slot");
@@ -432,7 +432,7 @@ Status FlushedZone::Recover() {
     }
     std::string body(body_len, '\0');
     env_->Load(base + 8, body.data(), body_len);
-    if (WalCrc(body.data(), body.size()) != crc) {
+    if (Checksum(body.data(), body.size()) != crc) {
       return Status::Corruption("zone registry crc mismatch");
     }
     Slice in(body);

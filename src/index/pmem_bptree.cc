@@ -15,11 +15,10 @@ PmemBPlusTree::PmemBPlusTree(PmemEnv* env, uint64_t region_offset,
       region_size_(region_size),
       flush_mode_(flush_mode),
       cursor_(region_offset) {
-  uint64_t root;
-  Status s = AllocateNode(/*is_leaf=*/true, &root);
+  // root_ keeps its 0 initializer if the region cannot hold one node.
+  Status s = AllocateNode(/*is_leaf=*/true, &root_);
   assert(s.ok());
   (void)s;
-  root_ = root;
 }
 
 void PmemBPlusTree::MaybeFlush(uint64_t offset, uint64_t len) {

@@ -2,8 +2,8 @@
 
 #include <cassert>
 
-#include "lsm/wal.h"
 #include "util/coding.h"
+#include "util/hash.h"
 
 namespace cachekv {
 
@@ -84,7 +84,7 @@ void SSTableBuilder::FlushDataBlock() {
   pending_handle_.size = raw.size();
   buffer_.append(raw.data(), raw.size());
   // Per-block checksum, verified on every read.
-  PutFixed32(&buffer_, WalCrc(raw.data(), raw.size()));
+  PutFixed32(&buffer_, Checksum(raw.data(), raw.size()));
   data_block_.Reset();
   pending_index_key_ = largest_key_;
   pending_index_entry_ = true;
@@ -115,7 +115,7 @@ Status SSTableBuilder::Finish() {
     footer.filter_handle.offset = buffer_.size();
     footer.filter_handle.size = filter.size();
     buffer_.append(filter);
-    PutFixed32(&buffer_, WalCrc(filter.data(), filter.size()));
+    PutFixed32(&buffer_, Checksum(filter.data(), filter.size()));
   }
 
   // Index block.
@@ -124,7 +124,7 @@ Status SSTableBuilder::Finish() {
     footer.index_handle.offset = buffer_.size();
     footer.index_handle.size = raw.size();
     buffer_.append(raw.data(), raw.size());
-    PutFixed32(&buffer_, WalCrc(raw.data(), raw.size()));
+    PutFixed32(&buffer_, Checksum(raw.data(), raw.size()));
   }
 
   footer.EncodeTo(&buffer_);
@@ -150,7 +150,7 @@ Status SSTableReader::ReadBlockContents(const BlockHandle& handle,
   env_->Load(region_offset_ + handle.offset, contents->data(), handle.size);
   char crc_buf[4];
   env_->Load(region_offset_ + handle.offset + handle.size, crc_buf, 4);
-  if (WalCrc(contents->data(), contents->size()) !=
+  if (Checksum(contents->data(), contents->size()) !=
       DecodeFixed32(crc_buf)) {
     return Status::Corruption("block checksum mismatch");
   }

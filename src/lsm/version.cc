@@ -1,8 +1,8 @@
 #include "lsm/version.h"
 
 #include "fault/fail_point.h"
-#include "lsm/wal.h"
 #include "util/coding.h"
+#include "util/hash.h"
 
 namespace cachekv {
 
@@ -38,7 +38,7 @@ void ManifestWriter::Encode(const ManifestState& state, std::string* out) {
   // Slot layout: fixed32 body_len, fixed32 crc, body.
   out->clear();
   PutFixed32(out, static_cast<uint32_t>(body.size()));
-  PutFixed32(out, WalCrc(body.data(), body.size()));
+  PutFixed32(out, Checksum(body.data(), body.size()));
   out->append(body);
 }
 
@@ -135,7 +135,7 @@ Status ManifestWriter::ReadSlot(int slot, ManifestState* state) {
   }
   std::string body(body_len, '\0');
   env_->Load(slot_base + 8, body.data(), body_len);
-  if (WalCrc(body.data(), body.size()) != crc) {
+  if (Checksum(body.data(), body.size()) != crc) {
     return Status::Corruption("manifest slot crc mismatch");
   }
   return Decode(Slice(body), state);

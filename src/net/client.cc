@@ -14,6 +14,8 @@
 #include <cstring>
 #include <thread>
 
+#include "util/hash.h"
+
 namespace cachekv {
 namespace net {
 
@@ -24,28 +26,6 @@ Status Errno(const char* what) {
 }
 
 Status NotConnected() { return Status::IOError("not connected"); }
-
-/// SplitMix64: trace ids must be well-mixed (they key merged
-/// timelines) yet reproducible from (seed, ordinal).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Client-side span name for a sampled op (string literal: the tracer
-/// stores the pointer).
-const char* ClientSpanName(Op op) {
-  switch (op) {
-    case Op::kGet: return "client.get";
-    case Op::kPut: return "client.put";
-    case Op::kDelete: return "client.del";
-    case Op::kMultiPut: return "client.multiput";
-    case Op::kScan: return "client.scan";
-    default: return "client.op";
-  }
-}
 
 }  // namespace
 
@@ -228,7 +208,7 @@ namespace {
 void EmitClientSpan(obs::Tracer* tracer, Op op, const TraceContext& tc,
                     uint64_t start_ns, uint64_t end_ns) {
   if (tracer == nullptr || !tracer->enabled() || !tc.traced) return;
-  tracer->Complete(ClientSpanName(op), start_ns, end_ns - start_ns,
+  tracer->Complete(OpInfoOf(op).client_span, start_ns, end_ns - start_ns,
                    "trace", tc.trace_id);
 }
 

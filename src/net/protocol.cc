@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <iterator>
+
 #include "util/coding.h"
 
 namespace cachekv {
@@ -73,34 +75,46 @@ void AppendKey(std::string* out, const Slice& key) {
   out->append(key.data(), key.size());
 }
 
+// Every name of an op derives from its wire name.
+#define CACHEKV_OP(op, name, flags) \
+  { op, name, "net.op." name, "net." name, "client." name, flags }
+
+constexpr OpInfo kOps[] = {
+    CACHEKV_OP(Op::kGet, "get", kOpSnapshotRead),
+    CACHEKV_OP(Op::kPut, "put", kOpBatchableWrite),
+    CACHEKV_OP(Op::kDelete, "del", kOpBatchableWrite),
+    CACHEKV_OP(Op::kMultiPut, "multiput", 0),
+    CACHEKV_OP(Op::kScan, "scan", kOpSnapshotRead),
+    CACHEKV_OP(Op::kStats, "stats", 0),
+    CACHEKV_OP(Op::kPing, "ping", kOpNeverShed),
+    CACHEKV_OP(Op::kShardMap, "shardmap", 0),
+    CACHEKV_OP(Op::kSlowLog, "slowlog", 0),
+    CACHEKV_OP(Op::kMetricsProm, "metricsprom", 0),
+    CACHEKV_OP(Op::kReplSubscribe, "replsubscribe", kOpReplStream),
+    CACHEKV_OP(Op::kReplBatch, "replbatch", kOpReplStream),
+    CACHEKV_OP(Op::kReplAck, "replack", kOpReplStream),
+    CACHEKV_OP(Op::kReplSnapshot, "replsnapshot", kOpReplStream),
+    // An admin op, not a stream op: with --repl-ack it must not queue
+    // behind the repl worker's ack traffic.
+    CACHEKV_OP(Op::kPromote, "promote", 0),
+    CACHEKV_OP(Op::kSnapshot, "snapshot", 0),
+    CACHEKV_OP(Op::kSnapshotRelease, "snapshotrelease", 0),
+};
+
+#undef CACHEKV_OP
+
+constexpr bool RowsInOpcodeOrder() {
+  for (size_t i = 0; i < std::size(kOps); i++) {
+    if (static_cast<size_t>(kOps[i].op) != i + 1) return false;
+  }
+  return std::size(kOps) == kNumOps;
+}
+static_assert(RowsInOpcodeOrder(), "kOps needs one row per opcode, in order");
+
 }  // namespace
 
-bool ValidOp(uint8_t raw) {
-  return raw >= static_cast<uint8_t>(Op::kGet) &&
-         raw <= static_cast<uint8_t>(Op::kSnapshotRelease);
-}
-
-const char* OpName(Op op) {
-  switch (op) {
-    case Op::kGet: return "get";
-    case Op::kPut: return "put";
-    case Op::kDelete: return "del";
-    case Op::kMultiPut: return "multiput";
-    case Op::kScan: return "scan";
-    case Op::kStats: return "stats";
-    case Op::kPing: return "ping";
-    case Op::kShardMap: return "shardmap";
-    case Op::kSlowLog: return "slowlog";
-    case Op::kMetricsProm: return "metricsprom";
-    case Op::kReplSubscribe: return "replsubscribe";
-    case Op::kReplBatch: return "replbatch";
-    case Op::kReplAck: return "replack";
-    case Op::kReplSnapshot: return "replsnapshot";
-    case Op::kPromote: return "promote";
-    case Op::kSnapshot: return "snapshot";
-    case Op::kSnapshotRelease: return "snapshotrelease";
-  }
-  return "?";
+const OpInfo& OpInfoOf(Op op) {
+  return kOps[static_cast<uint8_t>(op) - 1];
 }
 
 const char* WireCodeName(uint16_t code) {

@@ -131,9 +131,39 @@ constexpr uint8_t kFlagTraced = 0x02;
 /// at that pinned snapshot (docs/SNAPSHOTS.md).
 constexpr uint8_t kFlagAtSnapshot = 0x04;
 
+/// OpInfo::flags bits: how the server treats an op.
+/// Consecutive pipelined frames of this op join one group commit.
+constexpr uint8_t kOpBatchableWrite = 0x01;
+/// The op reads and accepts kFlagAtSnapshot.
+constexpr uint8_t kOpSnapshotRead = 0x02;
+/// A replication stream op, served only by the repl worker.
+constexpr uint8_t kOpReplStream = 0x04;
+/// Never shed by backpressure (a liveness probe must pass).
+constexpr uint8_t kOpNeverShed = 0x08;
+
+/// Everything that names or classifies one wire op. The table in
+/// protocol.cc holds one row per opcode (docs/SERVER.md "Adding an
+/// op"); names are string literals, since the metrics registry, the
+/// tracer and the slow log store only the pointer.
+struct OpInfo {
+  Op op;
+  const char* name;         // wire name: "get"
+  const char* histogram;    // service-latency histogram: "net.op.get"
+  const char* trace;        // server trace span: "net.get"
+  const char* client_span;  // client trace span: "client.get"
+  uint8_t flags;
+
+  bool Is(uint8_t flag) const { return (flags & flag) != 0; }
+};
+
+/// Number of opcodes; 1..kNumOps are defined.
+constexpr uint8_t kNumOps = static_cast<uint8_t>(Op::kSnapshotRelease);
+
 /// True when `raw` is a defined opcode.
-bool ValidOp(uint8_t raw);
-const char* OpName(Op op);
+inline bool ValidOp(uint8_t raw) { return raw >= 1 && raw <= kNumOps; }
+/// The table row of `op`, which must be a defined opcode.
+const OpInfo& OpInfoOf(Op op);
+inline const char* OpName(Op op) { return OpInfoOf(op).name; }
 
 /// Response status codes. 0-7 mirror Status codes so either side can
 /// translate losslessly; 100+ are protocol-level conditions with no

@@ -67,80 +67,40 @@ void WakeByte(int fd) {
   (void)ignored;
 }
 
-/// Span histogram name for one op's service latency (string literals:
-/// both the registry and the tracer only store the pointer).
-const char* OpHistogramName(Op op) {
-  switch (op) {
-    case Op::kGet: return "net.op.get";
-    case Op::kPut: return "net.op.put";
-    case Op::kDelete: return "net.op.del";
-    case Op::kMultiPut: return "net.op.multiput";
-    case Op::kScan: return "net.op.scan";
-    case Op::kStats: return "net.op.stats";
-    case Op::kPing: return "net.op.ping";
-    case Op::kShardMap: return "net.op.shardmap";
-    case Op::kSlowLog: return "net.op.slowlog";
-    case Op::kMetricsProm: return "net.op.metricsprom";
-    case Op::kReplSubscribe: return "net.op.replsubscribe";
-    case Op::kReplBatch: return "net.op.replbatch";
-    case Op::kReplAck: return "net.op.replack";
-    case Op::kReplSnapshot: return "net.op.replsnapshot";
-    case Op::kPromote: return "net.op.promote";
-    case Op::kSnapshot: return "net.op.snapshot";
-    case Op::kSnapshotRelease: return "net.op.snapshotrelease";
-  }
-  return "net.op.other";
-}
-
-const char* OpTraceName(Op op) {
-  switch (op) {
-    case Op::kGet: return "net.get";
-    case Op::kPut: return "net.put";
-    case Op::kDelete: return "net.del";
-    case Op::kMultiPut: return "net.multiput";
-    case Op::kScan: return "net.scan";
-    case Op::kStats: return "net.stats";
-    case Op::kPing: return "net.ping";
-    case Op::kShardMap: return "net.shardmap";
-    case Op::kSlowLog: return "net.slowlog";
-    case Op::kMetricsProm: return "net.metricsprom";
-    case Op::kReplSubscribe: return "net.replsubscribe";
-    case Op::kReplBatch: return "net.replbatch";
-    case Op::kReplAck: return "net.replack";
-    case Op::kReplSnapshot: return "net.replsnapshot";
-    case Op::kPromote: return "net.promote";
-    case Op::kSnapshot: return "net.snapshot";
-    case Op::kSnapshotRelease: return "net.snapshotrelease";
-  }
-  return "net.other";
-}
-
 }  // namespace
 
 /// Per-request stage clock feeding both halves of the telemetry plane:
 /// each Stage() call closes the window since the previous mark, emitting
-/// a tracer span tagged with the trace id (traced requests) and
+/// a tracer span under the trace id of every traced frame served and
 /// accumulating the stage into a SlowLogEntry. Finish() — called from
 /// the destructor — records the entry when the request exceeded the
-/// slow threshold. Inert (no clock reads) when the request is neither
-/// traced nor eligible for the slow log.
+/// slow threshold. Inert (no clock reads) when no frame is traced and
+/// the slow log is off.
+///
+/// A timeline serves `frames[0, count)`: one request, or a group-commit
+/// run of writes, which is logged as one entry with op "batch".
 class Server::RequestTimeline {
  public:
-  RequestTimeline(Server* server, const Frame& frame,
+  RequestTimeline(Server* server, const Frame* frames, size_t count,
                   uint32_t queue_depth)
       : server_(server),
         tracer_(server->primary()->trace()),
-        traced_(frame.traced),
-        trace_id_(frame.trace_id) {
+        frames_(frames),
+        count_(count) {
     slow_ns_ = server_->slow_log_ != nullptr
                    ? static_cast<uint64_t>(server_->options_.slow_request_us) *
                          1000
                    : 0;
+    for (size_t i = 0; i < count; i++) {
+      if (!frames[i].traced) continue;
+      server_->traced_requests_->Increment();
+      if (!traced_) entry_.trace_id = frames[i].trace_id;
+      traced_ = true;
+    }
     active_ = traced_ || slow_ns_ > 0;
     if (!active_) return;
     start_ns_ = last_ns_ = tracer_->NowNs();
-    entry_.trace_id = traced_ ? trace_id_ : 0;
-    entry_.op = static_cast<uint8_t>(frame.op);
+    entry_.op = count > 1 ? "batch" : OpInfoOf(frames[0].op).name;
     entry_.queue_depth = queue_depth;
   }
 
@@ -154,9 +114,11 @@ class Server::RequestTimeline {
   void Stage(const char* name) {
     if (!active_) return;
     const uint64_t now = tracer_->NowNs();
-    if (traced_) {
-      tracer_->Complete(name, last_ns_, now - last_ns_, "trace",
-                        trace_id_);
+    for (size_t i = 0; traced_ && i < count_; i++) {
+      if (frames_[i].traced) {
+        tracer_->Complete(name, last_ns_, now - last_ns_, "trace",
+                          frames_[i].trace_id);
+      }
     }
     entry_.AddStage(name, (now - last_ns_) / 1000);
     last_ns_ = now;
@@ -167,15 +129,13 @@ class Server::RequestTimeline {
     if (active_) entry_.SetKey(key.data(), key.size());
   }
 
-  bool traced() const { return traced_; }
-
-  /// The trace context for the response frame: echoes the request's id
-  /// and reports the service time measured so far.
-  TraceContext ResponseContext() const {
+  /// The trace context for `frame`'s response: echoes its trace id and
+  /// reports the service time measured so far.
+  TraceContext ResponseContext(const Frame& frame) const {
     TraceContext tc;
-    if (traced_) {
+    if (frame.traced) {
       tc.traced = true;
-      tc.trace_id = trace_id_;
+      tc.trace_id = frame.trace_id;
       tc.server_ns = tracer_->NowNs() - start_ns_;
     }
     return tc;
@@ -201,9 +161,10 @@ class Server::RequestTimeline {
  private:
   Server* server_;
   obs::Tracer* tracer_;
-  bool traced_;
-  uint64_t trace_id_;
+  const Frame* frames_;
+  size_t count_;
   uint64_t slow_ns_ = 0;
+  bool traced_ = false;
   bool active_ = false;
   bool finished_ = false;
   uint64_t start_ns_ = 0;
@@ -300,6 +261,10 @@ Server::Server(std::vector<DB*> shards, const ShardRouter& router,
   slowlog_queries_ = reg->GetCounter("net.slowlog.queries");
   traced_requests_ = reg->GetCounter("net.traced_requests");
   snap_expired_ = reg->GetCounter("snap.expired");
+  for (uint8_t raw = 1; raw <= kNumOps; raw++) {
+    op_histograms_[raw - 1] =
+        reg->GetHistogram(OpInfoOf(static_cast<Op>(raw)).histogram);
+  }
   connections_ = reg->GetGauge("net.connections");
   snap_active_ = reg->GetGauge("snap.active");
   if (options_.slow_log_capacity > 0 && options_.slow_request_us > 0) {
@@ -895,18 +860,6 @@ void Server::WorkerLoop(Worker* worker) {
   worker->conns.clear();
 }
 
-namespace {
-// Repl stream ops are served only by the dedicated repl worker; a
-// client worker that sees one parks the frame and migrates the whole
-// connection instead of handling it in place. PROMOTE is excluded: it
-// is a one-shot admin request, and with --repl-ack it must not queue
-// behind the repl worker's ack traffic.
-bool IsReplStreamOp(Op op) {
-  return op == Op::kReplSubscribe || op == Op::kReplBatch ||
-         op == Op::kReplAck || op == Op::kReplSnapshot;
-}
-}  // namespace
-
 bool Server::Misplaced(Worker* worker, Conn* conn) const {
   Worker* rw = repl_worker();
   if (rw == nullptr || !conn->classified) return false;
@@ -922,7 +875,7 @@ bool Server::ProcessFrames(Worker* worker, Conn* conn) {
     Op first;
     if (conn->decoder.PeekOp(&first)) {
       conn->classified = true;
-      conn->is_repl = IsReplStreamOp(first);
+      conn->is_repl = OpInfoOf(first).Is(kOpReplStream);
     } else if (conn->decoder.buffered() >= 6) {
       // Header bytes present but malformed: treat as a client conn so
       // Next latches the decode error on a client worker.
@@ -940,12 +893,12 @@ bool Server::ProcessFrames(Worker* worker, Conn* conn) {
   // Pull every complete frame first: the span between "bytes arrived"
   // and "responses written" is where pipelined writes batch.
   //
-  // Exception: a repl stream frame on a client worker is left inside
-  // the decoder, and the connection is flagged for migration to the
-  // repl worker, which drains it on adoption. Handling it here would
-  // deadlock under --repl-ack: the client worker can be blocked in
-  // WaitCommitAcked waiting on acks from the very follower whose
-  // subscribe just landed on it.
+  // Exception: a repl stream frame (kOpReplStream) on a client worker
+  // is left inside the decoder, and the connection is flagged for
+  // migration to the repl worker, which drains it on adoption. Handling
+  // it here would deadlock under --repl-ack: the client worker can be
+  // blocked in WaitCommitAcked waiting on acks from the very follower
+  // whose subscribe just landed on it.
   // The reverse also holds: the repl worker only ever executes repl
   // stream frames. Anything else (a PING, a PROMOTE, a stray write) is
   // parked and the connection re-classified, so WaitCommitAcked can
@@ -956,7 +909,7 @@ bool Server::ProcessFrames(Worker* worker, Conn* conn) {
   Op next_op;
   while (true) {
     if (rw != nullptr && conn->decoder.PeekOp(&next_op)) {
-      const bool repl_op = IsReplStreamOp(next_op);
+      const bool repl_op = OpInfoOf(next_op).Is(kOpReplStream);
       if (repl_op != (worker == rw)) {
         conn->is_repl = repl_op;
         break;
@@ -990,10 +943,10 @@ bool Server::ProcessFrames(Worker* worker, Conn* conn) {
       i++;
       continue;
     }
-    if (NetTrace() && frames[i].op >= Op::kReplSubscribe)
-      fprintf(stderr, "[%ld srv %d w%d] handle op=%d fd=%d\n", TraceMs(),
-              (int)port_, worker->index, (int)frames[i].op, conn->fd);
-    if (frames[i].op == Op::kPut || frames[i].op == Op::kDelete) {
+    if (NetTrace() && OpInfoOf(frames[i].op).Is(kOpReplStream))
+      fprintf(stderr, "[%ld srv %d w%d] handle op=%s fd=%d\n", TraceMs(),
+              (int)port_, worker->index, OpName(frames[i].op), conn->fd);
+    if (OpInfoOf(frames[i].op).Is(kOpBatchableWrite)) {
       i = HandleWriteRun(conn, frames, i, depth);
     } else {
       HandleRequest(conn, frames[i], depth);
@@ -1019,7 +972,7 @@ bool Server::ProcessFrames(Worker* worker, Conn* conn) {
 
 bool Server::ShedForBackpressure(Conn* conn, Op op, uint64_t id) {
   const size_t cap = options_.max_conn_write_buffer_bytes;
-  if (cap == 0 || op == Op::kPing) {
+  if (cap == 0 || OpInfoOf(op).Is(kOpNeverShed)) {
     return false;  // disabled, or a liveness probe that must pass
   }
   if (conn->out.size() - conn->out_pos <= cap) {
@@ -1043,128 +996,158 @@ void Server::InvalidateCache(uint32_t shard, const Slice& key) {
   }
 }
 
-bool Server::RejectIfReadOnly(Conn* conn, DB* db, Op op, uint64_t id,
-                              const TraceContext& tc) {
-  if (!db->IsReadOnly()) {
-    return false;
-  }
-  EncodeErrorResponse(&conn->out, op, id, kReadOnly,
-                      db->BackgroundError().ToString(), tc);
-  return true;
+Server::Verdict Server::DecodeFailure(std::string message) {
+  decode_errors_->Increment();
+  return {kDecodeError, std::move(message)};
 }
 
-void Server::AppendWriteResponse(Conn* conn, DB* db, Op op, uint64_t id,
-                                 const Status& s,
-                                 const TraceContext& tc) {
-  if (s.ok()) {
-    EncodeOkResponse(&conn->out, op, id, Slice(), tc);
-  } else {
-    // A write refused because of background degradation surfaces as
-    // kReadOnly so clients can tell it from an ordinary IO error.
-    const uint16_t code =
-        db->IsReadOnly() ? static_cast<uint16_t>(kReadOnly) : WireCodeOf(s);
-    EncodeErrorResponse(&conn->out, op, id, code, s.ToString(), tc);
+Server::Verdict Server::CheckFrame(const Frame& frame) {
+  if (frame.response) {
+    // A client must never send response frames.
+    return DecodeFailure("response frame sent to server");
   }
+  if (frame.at_snapshot && !OpInfoOf(frame.op).Is(kOpSnapshotRead)) {
+    return {kInvalidArgument, "at-snapshot flag on a non-read request"};
+  }
+  if (fault::AnyActive()) {
+    // An armed delay action here lands inside the req.decode stage
+    // window, so the slow log attributes it to decode.
+    Status injected = fault::Inject("net.decode");
+    if (!injected.ok()) {
+      return DecodeFailure(injected.ToString());
+    }
+  }
+  return {};
+}
+
+Server::Verdict Server::WriteRefusal(uint32_t shard) const {
+  if (ShardNotPrimary(shard)) {
+    return {kNotPrimary, "shard is a replication follower"};
+  }
+  if (dbs_[shard]->IsReadOnly()) {
+    return {kReadOnly, dbs_[shard]->BackgroundError().ToString()};
+  }
+  return {};
+}
+
+Server::Verdict Server::FinishWrite(
+    uint32_t shard, const std::vector<KVStore::BatchOp>& batch,
+    const Status& s) {
+  // Invalidation precedes the response, so no ack is sent while its
+  // key's cache entry could still shadow the write.
+  for (const KVStore::BatchOp& op : batch) {
+    InvalidateCache(shard, op.key);
+  }
+  if (s.ok() && repl_ != nullptr) {
+    // Committed locally but under-replicated within the ack window; the
+    // client must treat the write as unacked.
+    Status acked = repl_->WaitCommitAcked(shard);
+    if (!acked.ok()) {
+      return {kReplTimeout, acked.ToString()};
+    }
+  }
+  if (s.ok()) {
+    return {};
+  }
+  // A write refused because of background degradation surfaces as
+  // kReadOnly so clients can tell it from an ordinary IO error.
+  return {dbs_[shard]->IsReadOnly() ? static_cast<uint16_t>(kReadOnly)
+                                    : WireCodeOf(s),
+          s.ToString()};
 }
 
 size_t Server::HandleWriteRun(Conn* conn, const std::vector<Frame>& frames,
                               size_t begin, uint32_t queue_depth) {
-  // Stage timing is needed when the slow log is armed or any frame of
-  // the (prospective) run is traced; probing the op/traced flags ahead
-  // of parsing is cheap and may only over-include.
-  bool any_traced = false;
-  for (size_t j = begin; j < frames.size() &&
-                         (frames[j].op == Op::kPut ||
-                          frames[j].op == Op::kDelete);
-       j++) {
-    if (frames[j].traced) {
-      any_traced = true;
-      break;
-    }
-  }
-  obs::Tracer* tracer = primary()->trace();
-  const bool timing = any_traced || slow_log_ != nullptr;
-  const uint64_t t_start = timing ? tracer->NowNs() : 0;
-
-  // Gather the maximal batchable run under the caps, routing each op to
-  // its shard as it is parsed.
-  std::vector<std::vector<KVStore::BatchOp>> shard_batches(dbs_.size());
-  std::vector<uint32_t> op_shards;  // shard of frames[begin + i]
-  std::string first_key;            // slow-log key prefix for the run
+  // The run: consecutive PUT/DEL frames under the op and byte caps. A
+  // frame's payload size bounds its key + value, and 64 bytes per
+  // record bound the engine's framing overhead.
   size_t end = begin;
-  size_t batch_bytes = 0;
-  size_t total_ops = 0;
-  while (end < frames.size() && total_ops < options_.max_batch_ops) {
-    const Frame& f = frames[end];
-    if ((f.op != Op::kPut && f.op != Op::kDelete) || f.at_snapshot) {
-      break;  // at-snapshot writes fall to HandleRequest and reject
-    }
-    KVStore::BatchOp op;
-    if (f.op == Op::kPut) {
-      PutRequest req;
-      if (!ParsePutRequest(f.payload, &req).ok()) {
-        break;
-      }
-      op.key = req.key.ToString();
-      op.value = req.value.ToString();
-    } else {
-      DeleteRequest req;
-      if (!ParseDeleteRequest(f.payload, &req).ok()) {
-        break;
-      }
-      op.is_delete = true;
-      op.key = req.key.ToString();
-    }
-    // 64 bytes per record bounds the engine's framing overhead.
-    const size_t cost = op.key.size() + op.value.size() + 64;
-    if (batch_bytes_cap_ != 0 && total_ops > 0 &&
-        batch_bytes + cost > batch_bytes_cap_) {
+  size_t run_bytes = 0;
+  while (end < frames.size() &&
+         OpInfoOf(frames[end].op).Is(kOpBatchableWrite)) {
+    run_bytes += frames[end].payload.size() + 64;
+    if (end > begin && (end - begin >= options_.max_batch_ops ||
+                        (batch_bytes_cap_ != 0 &&
+                         run_bytes > batch_bytes_cap_))) {
       break;
     }
-    batch_bytes += cost;
-    const uint32_t shard =
-        dbs_.size() == 1 ? 0 : router_.ShardOf(op.key);
-    if (total_ops == 0) first_key = op.key;
-    op_shards.push_back(shard);
-    shard_batches[shard].push_back(std::move(op));
-    total_ops++;
     end++;
   }
-  if (total_ops <= 1) {
-    // Nothing to batch (lone write, or the first frame failed to
-    // parse); the single-op path owns its histogram and error.
-    HandleRequest(conn, frames[begin], queue_depth);
-    return begin + 1;
+  const Frame* run = &frames[begin];
+  const size_t count = end - begin;
+  requests_->Increment(count);
+  // A lone write is timed under its own op; a run is one net.op.put
+  // sample, logged as op "batch".
+  obs::SpanTimer span(op_histogram(count > 1 ? Op::kPut : run[0].op));
+  obs::TraceScope trace(primary()->trace(), OpInfoOf(run[0].op).trace);
+  if (run[0].traced) {
+    trace.AddArg("trace", run[0].trace_id);
   }
-  // The whole run shares one service span; each touched shard gets one
-  // commit, and every request is answered with its shard's outcome.
-  obs::SpanTimer span(primary()->metrics(), "net.op.put");
-  requests_->Increment(total_ops);
-  const uint64_t t_parsed = timing ? tracer->NowNs() : 0;
-  std::vector<Status> shard_status(dbs_.size(), Status::OK());
-  std::vector<bool> shard_read_only(dbs_.size(), false);
-  std::vector<bool> shard_not_primary(dbs_.size(), false);
-  std::vector<bool> shard_repl_timeout(dbs_.size(), false);
+  if (count > 1) {
+    trace.AddArg("batched", count);
+  }
+  RequestTimeline timeline(this, run, count, queue_depth);
+
+  // Check and parse every frame. One that fails is answered with its
+  // error in its turn and takes no part in the commit.
+  std::vector<Verdict> verdicts(count);
+  std::vector<KVStore::BatchOp> ops(count);
+  for (size_t i = 0; i < count; i++) {
+    verdicts[i] = CheckFrame(run[i]);
+    if (verdicts[i].code != kOk) {
+      continue;
+    }
+    Status s;
+    if (run[i].op == Op::kPut) {
+      PutRequest req;
+      s = ParsePutRequest(run[i].payload, &req);
+      ops[i].key = req.key.ToString();
+      ops[i].value = req.value.ToString();
+    } else {
+      DeleteRequest req;
+      s = ParseDeleteRequest(run[i].payload, &req);
+      ops[i].is_delete = true;
+      ops[i].key = req.key.ToString();
+    }
+    if (!s.ok()) {
+      verdicts[i] = DecodeFailure(s.ToString());
+    }
+  }
+  timeline.Stage("req.decode");
+
+  // Route every accepted op to its shard's batch.
+  std::vector<uint32_t> shards(count);
+  std::vector<std::vector<KVStore::BatchOp>> shard_batches(dbs_.size());
+  size_t accepted = 0;
+  for (size_t i = 0; i < count; i++) {
+    if (verdicts[i].code != kOk) {
+      continue;
+    }
+    Route(ops[i].key, &shards[i]);
+    if (accepted++ == 0) {
+      // The slow-log entry names the run's first op.
+      timeline.SetKey(ops[i].key);
+      timeline.SetShard(shards[i]);
+    }
+    shard_batches[shards[i]].push_back(std::move(ops[i]));
+  }
+  timeline.Stage("req.route");
+
+  // One commit per touched shard; every request is answered with its
+  // shard's outcome.
+  std::vector<Verdict> shard_verdicts(dbs_.size());
   for (uint32_t shard = 0; shard < dbs_.size(); shard++) {
-    std::vector<KVStore::BatchOp>& batch = shard_batches[shard];
+    const std::vector<KVStore::BatchOp>& batch = shard_batches[shard];
     if (batch.empty()) {
       continue;
     }
-    shard_requests_[shard]->Increment(batch.size());
+    shard_verdicts[shard] = WriteRefusal(shard);
+    if (shard_verdicts[shard].code != kOk) {
+      continue;
+    }
     DB* db = dbs_[shard];
-    if (ShardNotPrimary(shard)) {
-      shard_not_primary[shard] = true;
-      shard_status[shard] =
-          Status::IOError("not_primary", "shard is a replication follower");
-      continue;
-    }
-    if (db->IsReadOnly()) {
-      shard_read_only[shard] = true;
-      shard_status[shard] = db->BackgroundError();
-      continue;
-    }
-    obs::TraceScope trace(primary()->trace(), "net.write_batch");
-    trace.AddArg("ops", batch.size());
+    obs::TraceScope commit(primary()->trace(), "net.write_batch");
+    commit.AddArg("ops", batch.size());
     Status s = db->ApplyBatch(batch);
     if (s.IsInvalidArgument() || s.IsOutOfSpace()) {
       // The combined batch exceeded what one sub-MemTable holds (the
@@ -1176,101 +1159,27 @@ size_t Server::HandleWriteRun(Conn* conn, const std::vector<Frame>& frames,
                                : db->Put(batch[i].key, batch[i].value);
       }
     }
-    if (s.ok()) {
+    if (s.ok() && accepted > 1) {
       batched_writes_->Increment();
       batched_ops_->Increment(batch.size());
     }
-    // Invalidation precedes the response loop below, so every ack in
-    // this run is only sent after its key's cache entry is gone.
-    for (const KVStore::BatchOp& bop : batch) {
-      InvalidateCache(shard, bop.key);
-    }
-    if (s.ok() && repl_ != nullptr) {
-      Status acked = repl_->WaitCommitAcked(shard);
-      if (!acked.ok()) {
-        shard_repl_timeout[shard] = true;
-        s = acked;
-      }
-    }
-    shard_status[shard] = s;
+    shard_verdicts[shard] = FinishWrite(shard, batch, s);
   }
-  const uint64_t t_committed = timing ? tracer->NowNs() : 0;
-  for (size_t i = begin; i < end; i++) {
-    const uint32_t shard = op_shards[i - begin];
-    // Every request of the run reports the run's service time so far:
-    // a batched write's latency is the batch's latency.
-    TraceContext tc;
-    if (frames[i].traced) {
-      traced_requests_->Increment();
-      tc.traced = true;
-      tc.trace_id = frames[i].trace_id;
-      tc.server_ns = t_committed - t_start;
-    }
-    if (shard_not_primary[shard]) {
-      EncodeErrorResponse(&conn->out, frames[i].op, frames[i].request_id,
-                          kNotPrimary, shard_status[shard].ToString(), tc);
-    } else if (shard_repl_timeout[shard]) {
-      EncodeErrorResponse(&conn->out, frames[i].op, frames[i].request_id,
-                          kReplTimeout, shard_status[shard].ToString(),
-                          tc);
-    } else if (shard_read_only[shard]) {
-      EncodeErrorResponse(&conn->out, frames[i].op, frames[i].request_id,
-                          kReadOnly, shard_status[shard].ToString(), tc);
+  timeline.Stage("req.db");
+
+  for (size_t i = 0; i < count; i++) {
+    const Verdict& v =
+        verdicts[i].code != kOk ? verdicts[i] : shard_verdicts[shards[i]];
+    const TraceContext tc = timeline.ResponseContext(run[i]);
+    if (v.code == kOk) {
+      EncodeOkResponse(&conn->out, run[i].op, run[i].request_id, Slice(),
+                       tc);
     } else {
-      AppendWriteResponse(conn, dbs_[shard], frames[i].op,
-                          frames[i].request_id, shard_status[shard], tc);
+      EncodeErrorResponse(&conn->out, run[i].op, run[i].request_id,
+                          v.code, v.message, tc);
     }
   }
-  if (timing) {
-    const uint64_t t_done = tracer->NowNs();
-    if (tracer->enabled()) {
-      // Stage spans for every traced member of the run: the stages are
-      // shared (one parse loop, one commit loop, one encode loop), so
-      // each traced id gets the same windows under its own id.
-      for (size_t i = begin; i < end; i++) {
-        if (!frames[i].traced) continue;
-        const uint64_t id = frames[i].trace_id;
-        tracer->Complete("req.decode", t_start, t_parsed - t_start,
-                         "trace", id);
-        tracer->Complete("req.db", t_parsed, t_committed - t_parsed,
-                         "trace", id);
-        tracer->Complete("req.encode", t_committed, t_done - t_committed,
-                         "trace", id);
-        tracer->Complete(OpTraceName(frames[i].op), t_start,
-                         t_done - t_start, "trace", id, "batched",
-                         total_ops);
-      }
-    }
-    const uint64_t slow_ns =
-        slow_log_ != nullptr
-            ? static_cast<uint64_t>(options_.slow_request_us) * 1000
-            : 0;
-    if (slow_ns > 0 && t_done - t_start >= slow_ns) {
-      // One entry for the whole run (op "batch"): the run is the unit
-      // of service here.
-      obs::SlowLogEntry entry;
-      entry.ts_ns = t_done;
-      entry.op = 255;
-      entry.shard = op_shards[0];
-      entry.total_us = (t_done - t_start) / 1000;
-      entry.queue_depth = queue_depth;
-      entry.SetKey(first_key.data(), first_key.size());
-      for (size_t i = begin; i < end; i++) {
-        if (frames[i].traced) {
-          entry.trace_id = frames[i].trace_id;
-          break;
-        }
-      }
-      entry.AddStage("req.decode", (t_parsed - t_start) / 1000);
-      entry.AddStage("req.db", (t_committed - t_parsed) / 1000);
-      entry.AddStage("req.encode", (t_done - t_committed) / 1000);
-      slow_log_->Record(entry);
-      slowlog_captured_->Increment();
-      if (slow_log_->Captured() > slow_log_->capacity()) {
-        slowlog_dropped_->Increment();
-      }
-    }
-  }
+  timeline.Stage("req.encode");
   return end;
 }
 
@@ -1300,11 +1209,10 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
   requests_->Increment();
   const Op op = frame.op;
   const uint64_t id = frame.request_id;
-  obs::SpanTimer span(primary()->metrics(), OpHistogramName(op));
-  obs::TraceScope trace(primary()->trace(), OpTraceName(op));
-  RequestTimeline timeline(this, frame, queue_depth);
+  obs::SpanTimer span(op_histogram(op));
+  obs::TraceScope trace(primary()->trace(), OpInfoOf(op).trace);
+  RequestTimeline timeline(this, &frame, 1, queue_depth);
   if (frame.traced) {
-    traced_requests_->Increment();
     trace.AddArg("trace", frame.trace_id);
   }
 
@@ -1312,46 +1220,50 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
   // the service time measured at encode) and closes the encode stage.
   auto respond_ok = [&](const Slice& payload) {
     EncodeOkResponse(&conn->out, op, id, payload,
-                     timeline.ResponseContext());
+                     timeline.ResponseContext(frame));
     timeline.Stage("req.encode");
   };
   auto respond_error = [&](uint16_t code, const std::string& message) {
     EncodeErrorResponse(&conn->out, op, id, code, message,
-                        timeline.ResponseContext());
+                        timeline.ResponseContext(frame));
     timeline.Stage("req.encode");
   };
-
-  if (frame.response) {
-    // A client must never send response frames; treat as decode error.
-    decode_errors_->Increment();
-    respond_error(kDecodeError, "response frame sent to server");
-    return;
-  }
-  if (frame.at_snapshot && op != Op::kGet && op != Op::kScan) {
-    respond_error(kInvalidArgument,
-                  "at-snapshot flag on a non-read request");
-    return;
-  }
-  if (fault::AnyActive()) {
-    // An armed delay action here lands inside the req.decode stage
-    // window, so the slow log attributes it to decode.
-    Status injected = fault::Inject("net.decode");
-    if (!injected.ok()) {
-      decode_errors_->Increment();
-      respond_error(kDecodeError, injected.ToString());
-      return;
+  auto reject = [&](const Verdict& v) { respond_error(v.code, v.message); };
+  auto reject_decode = [&](const Status& s) {
+    reject(DecodeFailure(s.ToString()));
+  };
+  // REPL* and PROMOTE: parse, check the shard, delegate to the hub.
+  auto serve_repl = [&](auto req, auto parse, auto handle) {
+    Status s = parse(frame.payload, &req);
+    if (!s.ok()) return reject_decode(s);
+    if (repl_ == nullptr) {
+      return respond_error(kInvalidArgument, "replication not enabled");
     }
-  }
+    if (req.shard >= num_shards()) {
+      return respond_error(kInvalidArgument, "shard out of range");
+    }
+    if (OpInfoOf(op).Is(kOpReplStream)) {
+      conn->is_repl = true;
+    }
+    std::string payload;
+    std::string error;
+    const uint16_t code = (repl_->*handle)(req, &payload, &error);
+    timeline.Stage("req.db");
+    if (code == kOk) {
+      respond_ok(payload);
+    } else {
+      respond_error(code, error);
+    }
+  };
+
+  const Verdict checked = CheckFrame(frame);
+  if (checked.code != kOk) return reject(checked);
 
   switch (op) {
     case Op::kGet: {
       GetRequest req;
       Status s = ParseGetRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
+      if (!s.ok()) return reject_decode(s);
       timeline.SetKey(req.key);
       timeline.Stage("req.decode");
       uint32_t shard = 0;
@@ -1415,184 +1327,52 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
       }
       return;
     }
-    case Op::kPut: {
-      PutRequest req;
-      Status s = ParsePutRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      timeline.SetKey(req.key);
-      timeline.Stage("req.decode");
-      uint32_t shard = 0;
-      DB* db = Route(req.key, &shard);
-      timeline.SetShard(shard);
-      timeline.Stage("req.route");
-      if (ShardNotPrimary(shard)) {
-        respond_error(kNotPrimary, "shard is a replication follower");
-        return;
-      }
-      if (RejectIfReadOnly(conn, db, op, id,
-                           timeline.ResponseContext())) {
-        return;
-      }
-      Status ws = db->Put(req.key, req.value);
-      InvalidateCache(shard, req.key);
-      if (ws.ok() && repl_ != nullptr) {
-        Status acked = repl_->WaitCommitAcked(shard);
-        if (!acked.ok()) {
-          // Committed locally but under-replicated within the ack
-          // window; the client must treat the write as unacked.
-          timeline.Stage("req.db");
-          respond_error(kReplTimeout, acked.ToString());
-          return;
-        }
-      }
-      timeline.Stage("req.db");
-      AppendWriteResponse(conn, db, op, id, ws,
-                          timeline.ResponseContext());
-      timeline.Stage("req.encode");
-      return;
-    }
-    case Op::kDelete: {
-      DeleteRequest req;
-      Status s = ParseDeleteRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      timeline.SetKey(req.key);
-      timeline.Stage("req.decode");
-      uint32_t shard = 0;
-      DB* db = Route(req.key, &shard);
-      timeline.SetShard(shard);
-      timeline.Stage("req.route");
-      if (ShardNotPrimary(shard)) {
-        respond_error(kNotPrimary, "shard is a replication follower");
-        return;
-      }
-      if (RejectIfReadOnly(conn, db, op, id,
-                           timeline.ResponseContext())) {
-        return;
-      }
-      Status ws = db->Delete(req.key);
-      InvalidateCache(shard, req.key);
-      if (ws.ok() && repl_ != nullptr) {
-        Status acked = repl_->WaitCommitAcked(shard);
-        if (!acked.ok()) {
-          timeline.Stage("req.db");
-          respond_error(kReplTimeout, acked.ToString());
-          return;
-        }
-      }
-      timeline.Stage("req.db");
-      AppendWriteResponse(conn, db, op, id, ws,
-                          timeline.ResponseContext());
-      timeline.Stage("req.encode");
-      return;
-    }
     case Op::kMultiPut: {
       MultiPutRequest req;
       Status s = ParseMultiPutRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
+      if (!s.ok()) return reject_decode(s);
       trace.AddArg("keys", req.ops.size());
       if (!req.ops.empty()) {
         timeline.SetKey(req.ops[0].key);
       }
       timeline.Stage("req.decode");
-      if (dbs_.size() == 1) {
-        shard_requests_[0]->Increment(req.ops.size());
-        if (ShardNotPrimary(0)) {
-          respond_error(kNotPrimary, "shard is a replication follower");
-          return;
-        }
-        if (RejectIfReadOnly(conn, primary(), op, id,
-                             timeline.ResponseContext())) {
-          return;
-        }
-        Status ws = primary()->ApplyBatch(req.ops);
-        for (const KVStore::BatchOp& bop : req.ops) {
-          InvalidateCache(0, bop.key);
-        }
-        if (ws.ok() && repl_ != nullptr) {
-          Status acked = repl_->WaitCommitAcked(0);
-          if (!acked.ok()) {
-            timeline.Stage("req.db");
-            respond_error(kReplTimeout, acked.ToString());
-            return;
-          }
-        }
-        timeline.Stage("req.db");
-        AppendWriteResponse(conn, primary(), op, id, ws,
-                            timeline.ResponseContext());
-        timeline.Stage("req.encode");
-        return;
-      }
       // Split per shard: the batch stays atomic within each shard but
-      // not across shards (docs/SERVER.md). All touched shards are
-      // checked for degradation before anything commits.
+      // not across shards (docs/SERVER.md). Every touched shard must
+      // take writes before anything commits.
       std::vector<std::vector<KVStore::BatchOp>> split(dbs_.size());
       for (KVStore::BatchOp& bop : req.ops) {
-        split[router_.ShardOf(bop.key)].push_back(std::move(bop));
+        uint32_t shard = 0;
+        Route(bop.key, &shard);
+        split[shard].push_back(std::move(bop));
       }
       for (uint32_t shard = 0; shard < dbs_.size(); shard++) {
         if (split[shard].empty()) continue;
-        shard_requests_[shard]->Increment(split[shard].size());
-        if (ShardNotPrimary(shard)) {
-          respond_error(kNotPrimary, "shard is a replication follower");
-          return;
-        }
-        if (RejectIfReadOnly(conn, dbs_[shard], op, id,
-                             timeline.ResponseContext())) {
-          return;
-        }
+        const Verdict refused = WriteRefusal(shard);
+        if (refused.code != kOk) return reject(refused);
       }
       timeline.Stage("req.route");
-      Status first_error;
-      DB* failed_db = nullptr;
+      Verdict first;
       for (uint32_t shard = 0; shard < dbs_.size(); shard++) {
         if (split[shard].empty()) continue;
-        Status st = dbs_[shard]->ApplyBatch(split[shard]);
-        for (const KVStore::BatchOp& bop : split[shard]) {
-          InvalidateCache(shard, bop.key);
+        Verdict v = FinishWrite(shard, split[shard],
+                                dbs_[shard]->ApplyBatch(split[shard]));
+        if (v.code == kReplTimeout) {
+          first = std::move(v);
+          break;
         }
-        if (st.ok() && repl_ != nullptr) {
-          Status acked = repl_->WaitCommitAcked(shard);
-          if (!acked.ok()) {
-            timeline.Stage("req.db");
-            respond_error(kReplTimeout, acked.ToString());
-            return;
-          }
-        }
-        if (!st.ok() && first_error.ok()) {
-          first_error = st;
-          failed_db = dbs_[shard];
+        if (first.code == kOk) {
+          first = std::move(v);
         }
       }
       timeline.Stage("req.db");
-      if (first_error.ok()) {
-        respond_ok(Slice());
-      } else {
-        AppendWriteResponse(conn, failed_db, op, id, first_error,
-                            timeline.ResponseContext());
-        timeline.Stage("req.encode");
-      }
+      if (first.code != kOk) return reject(first);
+      respond_ok(Slice());
       return;
     }
     case Op::kScan: {
       ScanRequest req;
       Status s = ParseScanRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
+      if (!s.ok()) return reject_decode(s);
       if (req.limit > options_.max_scan_limit) {
         respond_error(kTooLarge, "scan limit exceeds server maximum");
         return;
@@ -1616,33 +1396,23 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
           return;
         }
       }
-      std::vector<std::pair<std::string, std::string>> entries;
-      if (dbs_.size() == 1) {
-        shard_requests_[0]->Increment();
+      // Each shard holds an arbitrary slice of the range, so every
+      // shard scans up to the full limit and the ordered k-way merge
+      // trims the union back down. At a snapshot, each shard scans at
+      // its own pinned sequence — together the per-shard cut the
+      // SNAPSHOT op froze.
+      std::vector<std::vector<std::pair<std::string, std::string>>>
+          per_shard(dbs_.size());
+      for (uint32_t shard = 0; s.ok() && shard < dbs_.size(); shard++) {
+        shard_requests_[shard]->Increment();
         s = snap != nullptr
-                ? primary()->ScanAt(req.start, req.limit, snap->seqs[0],
-                                    &entries)
-                : primary()->Scan(req.start, req.limit, &entries);
-      } else {
-        // Each shard holds an arbitrary slice of the range, so every
-        // shard scans up to the full limit and the ordered k-way merge
-        // trims the union back down. At a snapshot, each shard scans at
-        // its own pinned sequence — together the per-shard cut the
-        // SNAPSHOT op froze.
-        std::vector<std::vector<std::pair<std::string, std::string>>>
-            per_shard(dbs_.size());
-        for (uint32_t shard = 0; s.ok() && shard < dbs_.size(); shard++) {
-          shard_requests_[shard]->Increment();
-          s = snap != nullptr
-                  ? dbs_[shard]->ScanAt(req.start, req.limit,
-                                        snap->seqs[shard],
-                                        &per_shard[shard])
-                  : dbs_[shard]->Scan(req.start, req.limit,
-                                      &per_shard[shard]);
-        }
-        if (s.ok()) {
-          MergeShardScans(std::move(per_shard), req.limit, &entries);
-        }
+                ? dbs_[shard]->ScanAt(req.start, req.limit,
+                                      snap->seqs[shard], &per_shard[shard])
+                : dbs_[shard]->Scan(req.start, req.limit, &per_shard[shard]);
+      }
+      std::vector<std::pair<std::string, std::string>> entries;
+      if (s.ok()) {
+        MergeShardScans(std::move(per_shard), req.limit, &entries);
       }
       timeline.Stage("req.db");
       if (!s.ok()) {
@@ -1682,11 +1452,7 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
     case Op::kSlowLog: {
       SlowLogRequest req;
       Status s = ParseSlowLogRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
+      if (!s.ok()) return reject_decode(s);
       slowlog_queries_->Increment();
       JsonValue entries;
       if (slow_log_ != nullptr) {
@@ -1704,155 +1470,25 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
       respond_ok(text);
       return;
     }
-    case Op::kReplSubscribe: {
-      ReplSubscribeRequest req;
-      Status s = ParseReplSubscribeRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      if (repl_ == nullptr) {
-        respond_error(kInvalidArgument, "replication not enabled");
-        return;
-      }
-      if (req.shard >= num_shards()) {
-        respond_error(kInvalidArgument, "shard out of range");
-        return;
-      }
-      conn->is_repl = true;
-      std::string payload;
-      std::string error;
-      const uint16_t code = repl_->HandleSubscribe(req, &payload, &error);
-      timeline.Stage("req.db");
-      if (code == kOk) {
-        respond_ok(payload);
-      } else {
-        respond_error(code, error);
-      }
-      return;
-    }
-    case Op::kReplBatch: {
-      ReplBatchRequest req;
-      Status s = ParseReplBatchRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      if (repl_ == nullptr) {
-        respond_error(kInvalidArgument, "replication not enabled");
-        return;
-      }
-      if (req.shard >= num_shards()) {
-        respond_error(kInvalidArgument, "shard out of range");
-        return;
-      }
-      conn->is_repl = true;
-      std::string payload;
-      std::string error;
-      const uint16_t code = repl_->HandleBatch(req, &payload, &error);
-      timeline.Stage("req.db");
-      if (code == kOk) {
-        respond_ok(payload);
-      } else {
-        respond_error(code, error);
-      }
-      return;
-    }
-    case Op::kReplAck: {
-      ReplAckRequest req;
-      Status s = ParseReplAckRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      if (repl_ == nullptr) {
-        respond_error(kInvalidArgument, "replication not enabled");
-        return;
-      }
-      if (req.shard >= num_shards()) {
-        respond_error(kInvalidArgument, "shard out of range");
-        return;
-      }
-      conn->is_repl = true;
-      std::string payload;
-      std::string error;
-      const uint16_t code = repl_->HandleAck(req, &payload, &error);
-      timeline.Stage("req.db");
-      if (code == kOk) {
-        respond_ok(payload);
-      } else {
-        respond_error(code, error);
-      }
-      return;
-    }
-    case Op::kReplSnapshot: {
-      ReplSnapshotRequest req;
-      Status s = ParseReplSnapshotRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      if (repl_ == nullptr) {
-        respond_error(kInvalidArgument, "replication not enabled");
-        return;
-      }
-      if (req.shard >= num_shards()) {
-        respond_error(kInvalidArgument, "shard out of range");
-        return;
-      }
-      conn->is_repl = true;
-      std::string payload;
-      std::string error;
-      const uint16_t code = repl_->HandleSnapshot(req, &payload, &error);
-      timeline.Stage("req.db");
-      if (code == kOk) {
-        respond_ok(payload);
-      } else {
-        respond_error(code, error);
-      }
-      return;
-    }
-    case Op::kPromote: {
-      PromoteRequest req;
-      Status s = ParsePromoteRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      if (repl_ == nullptr) {
-        respond_error(kInvalidArgument, "replication not enabled");
-        return;
-      }
-      if (req.shard >= num_shards()) {
-        respond_error(kInvalidArgument, "shard out of range");
-        return;
-      }
-      // An admin op, not a stream op: the connection stays on its
-      // worker.
-      std::string payload;
-      std::string error;
-      const uint16_t code = repl_->HandlePromote(req, &payload, &error);
-      timeline.Stage("req.db");
-      if (code == kOk) {
-        respond_ok(payload);
-      } else {
-        respond_error(code, error);
-      }
-      return;
-    }
+    case Op::kReplSubscribe:
+      return serve_repl(ReplSubscribeRequest(), ParseReplSubscribeRequest,
+                        &repl::ReplHub::HandleSubscribe);
+    case Op::kReplBatch:
+      return serve_repl(ReplBatchRequest(), ParseReplBatchRequest,
+                        &repl::ReplHub::HandleBatch);
+    case Op::kReplAck:
+      return serve_repl(ReplAckRequest(), ParseReplAckRequest,
+                        &repl::ReplHub::HandleAck);
+    case Op::kReplSnapshot:
+      return serve_repl(ReplSnapshotRequest(), ParseReplSnapshotRequest,
+                        &repl::ReplHub::HandleSnapshot);
+    case Op::kPromote:
+      return serve_repl(PromoteRequest(), ParsePromoteRequest,
+                        &repl::ReplHub::HandlePromote);
     case Op::kSnapshot: {
       SnapshotRequest req;
       Status s = ParseSnapshotRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
+      if (!s.ok()) return reject_decode(s);
       timeline.Stage("req.decode");
       // A request may shorten the pin's life but never outlive the
       // server's bound.
@@ -1894,11 +1530,7 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
     case Op::kSnapshotRelease: {
       SnapshotReleaseRequest req;
       Status s = ParseSnapshotReleaseRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
+      if (!s.ok()) return reject_decode(s);
       timeline.Stage("req.decode");
       std::shared_ptr<SnapshotEntry> released;
       {
@@ -1920,6 +1552,8 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
       respond_ok(Slice());
       return;
     }
+    default:
+      break;  // PUT and DEL always take HandleWriteRun
   }
   respond_error(kUnknownOp, "unknown opcode");
 }

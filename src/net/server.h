@@ -1,6 +1,7 @@
 #ifndef CACHEKV_NET_SERVER_H_
 #define CACHEKV_NET_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -197,6 +198,9 @@ class Server {
   struct SnapshotEntry;
 
   DB* primary() const { return dbs_[0]; }
+  obs::ShardedHistogram* op_histogram(Op op) const {
+    return op_histograms_[static_cast<uint8_t>(op) - 1];
+  }
   /// The shard owning `key`; counts the routing decision in the target
   /// shard's net.shard.requests.
   DB* Route(const Slice& key, uint32_t* shard_out = nullptr);
@@ -210,23 +214,36 @@ class Server {
   /// True when a classified connection sits on the wrong worker (repl
   /// conn off the repl worker, client conn on it) and must migrate.
   bool Misplaced(Worker* worker, Conn* conn) const;
-  /// Handles frames[begin..end) where [begin, end) is a maximal run of
-  /// single-key PUT/DEL requests: one ApplyBatch commit per touched
-  /// shard, one response per request. Returns the first unconsumed
-  /// index. `queue_depth` is the number of frames decoded behind
-  /// frames[begin] in its round.
+  /// The only path from a PUT/DEL frame to the DB. Handles
+  /// frames[begin..end), the longest run of PUT/DEL requests from
+  /// `begin` under the batch caps (a lone write is a run of one): one
+  /// ApplyBatch commit per touched shard, one response per request.
+  /// Returns `end`. `queue_depth` is the number of frames decoded
+  /// behind frames[begin] in its round.
   size_t HandleWriteRun(Conn* conn, const std::vector<Frame>& frames,
                         size_t begin, uint32_t queue_depth);
+  /// Every other op: one frame, one response.
   void HandleRequest(Conn* conn, const Frame& frame,
                      uint32_t queue_depth);
-  /// Appends the response for a completed write `s` against `db`
-  /// (shared by the single-op and batched paths).
-  void AppendWriteResponse(Conn* conn, DB* db, Op op, uint64_t id,
-                           const Status& s,
-                           const TraceContext& tc = TraceContext());
-  /// Rejects a write when `db` is read-only; true when rejected.
-  bool RejectIfReadOnly(Conn* conn, DB* db, Op op, uint64_t id,
-                        const TraceContext& tc = TraceContext());
+  /// A response code and, unless it is kOk, its error message.
+  struct Verdict {
+    uint16_t code = kOk;
+    std::string message;
+  };
+  /// The checks every request frame passes before its op runs: no
+  /// response flag, the at-snapshot flag only on reads, and the
+  /// net.decode fault point.
+  Verdict CheckFrame(const Frame& frame);
+  /// A kDecodeError verdict, counted in net.decode_errors.
+  Verdict DecodeFailure(std::string message);
+  /// kNotPrimary or kReadOnly when `shard` must not take writes now.
+  Verdict WriteRefusal(uint32_t shard) const;
+  /// Completes a write to `shard` that the DB answered with `s`:
+  /// invalidates the batch's keys in the hot-key cache, waits for the
+  /// replication acks, and maps the outcome to the response verdict.
+  Verdict FinishWrite(uint32_t shard,
+                      const std::vector<KVStore::BatchOp>& batch,
+                      const Status& s);
   /// The METRICSPROM payload: the Prometheus exposition over every
   /// shard's registry snapshot (per-shard labels).
   void BuildPromPayload(std::string* out);
@@ -288,6 +305,8 @@ class Server {
   std::atomic<uint64_t> next_worker_{0};
 
   // Cached "net.*" instruments (owned by the primary DB's registry).
+  /// The net.op.* service-latency histogram of each op, by opcode - 1.
+  std::array<obs::ShardedHistogram*, kNumOps> op_histograms_{};
   obs::Counter* accepts_ = nullptr;
   obs::Counter* requests_ = nullptr;
   obs::Counter* bytes_in_ = nullptr;

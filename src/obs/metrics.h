@@ -169,8 +169,10 @@ class MetricsRegistry {
 class SpanTimer {
  public:
   SpanTimer(MetricsRegistry* registry, std::string_view name)
-      : histogram_(registry == nullptr ? nullptr
-                                       : registry->GetHistogram(name)) {
+      : SpanTimer(registry == nullptr ? nullptr
+                                      : registry->GetHistogram(name)) {}
+  /// Times into a histogram the caller resolved once (null: no-op).
+  explicit SpanTimer(ShardedHistogram* histogram) : histogram_(histogram) {
     if (histogram_ != nullptr) {
       start_ = std::chrono::steady_clock::now();
     }

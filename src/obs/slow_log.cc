@@ -26,7 +26,7 @@ struct SlowLog::Slot {
   std::atomic<uint64_t> total_us{0};
   std::atomic<uint32_t> shard{0};
   std::atomic<uint32_t> queue_depth{0};
-  std::atomic<uint8_t> op{0};
+  std::atomic<const char*> op{nullptr};
   std::atomic<uint8_t> key_prefix_len{0};
   // Key prefix packed into two words so the whole slot stays atomic.
   std::atomic<uint64_t> key_lo{0};
@@ -149,7 +149,7 @@ void SlowLog::ToJson(JsonValue* out, size_t limit) const {
     JsonValue entry = JsonValue::Object();
     entry.Set("ts_us", JsonValue::Number(
                            static_cast<double>(e.ts_ns / 1000)));
-    entry.Set("op", JsonValue::Str(SlowLogOpName(e.op)));
+    entry.Set("op", JsonValue::Str(e.op != nullptr ? e.op : "unknown"));
     entry.Set("shard", JsonValue::Number(e.shard));
     entry.Set("total_us", JsonValue::Number(
                               static_cast<double>(e.total_us)));
@@ -182,35 +182,6 @@ void SlowLog::ToJson(JsonValue* out, size_t limit) const {
     }
     entry.Set("stages", std::move(stages));
     out->Append(std::move(entry));
-  }
-}
-
-const char* SlowLogOpName(uint8_t op) {
-  switch (op) {
-    case 1:
-      return "get";
-    case 2:
-      return "put";
-    case 3:
-      return "del";
-    case 4:
-      return "multiput";
-    case 5:
-      return "scan";
-    case 6:
-      return "stats";
-    case 7:
-      return "ping";
-    case 8:
-      return "shardmap";
-    case 9:
-      return "slowlog";
-    case 10:
-      return "metricsprom";
-    case 255:
-      return "batch";
-    default:
-      return "unknown";
   }
 }
 

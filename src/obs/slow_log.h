@@ -30,8 +30,8 @@ namespace obs {
 /// are live simply skips slots that are mid-overwrite. When the ring
 /// wraps, the oldest entries are overwritten (counted as dropped).
 ///
-/// Stage names must be string literals (only the pointer is stored),
-/// mirroring the Tracer contract.
+/// Op and stage names must be string literals (only the pointer is
+/// stored), mirroring the Tracer contract.
 
 /// Upper bound on per-entry stage breakdown slots.
 constexpr int kSlowLogMaxStages = 8;
@@ -46,8 +46,9 @@ struct SlowLogEntry {
   uint64_t ts_ns = 0;
   /// Trace id of the request when it was sampled, else 0.
   uint64_t trace_id = 0;
-  /// Wire opcode (net::Op) of the request.
-  uint8_t op = 0;
+  /// Op name of the request (net::OpInfo::name, or "batch" for a
+  /// group-committed run); a string literal, like stage names.
+  const char* op = nullptr;
   uint32_t shard = 0;
   /// End-to-end service time in microseconds.
   uint64_t total_us = 0;
@@ -104,11 +105,6 @@ class SlowLog {
   std::unique_ptr<Slot[]> slots_;
   std::atomic<uint64_t> head_{0};  // total entries ever claimed
 };
-
-/// Human-readable op name for a SlowLogEntry::op byte ("get", "put",
-/// ...); defined here so the CLI needs no net/ dependency to print a
-/// parsed dump.
-const char* SlowLogOpName(uint8_t op);
 
 }  // namespace obs
 }  // namespace cachekv

@@ -132,6 +132,9 @@ void Tracer::SetThreadName(const char* name) {
   if (!enabled()) {
     return;
   }
+  // Claim the thread's ring now, so its first event does not allocate
+  // inside a timed region (a request's service window, say).
+  LocalShard();
   const uint32_t tid = CurrentTraceTid();
   std::lock_guard<std::mutex> lock(names_mu_);
   for (auto& entry : thread_names_) {

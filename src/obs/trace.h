@@ -57,8 +57,9 @@ class Tracer {
   uint64_t NowNs() const;
 
   /// Registers a display name for the calling thread, emitted as
-  /// trace-event metadata. Safe to call whether or not tracing is
-  /// enabled (background threads register unconditionally at startup).
+  /// trace-event metadata, and claims the thread's ring when tracing is
+  /// enabled. Safe to call whether or not tracing is enabled
+  /// (background threads register unconditionally at startup).
   void SetThreadName(const char* name);
 
   /// Emits an instant event. No-ops when disabled.

@@ -697,8 +697,10 @@ void ReplHub::FenceOldPrimary() {
         net::ReplSubscribeRequest sub;
         sub.shard = s;
         sub.epoch = Epoch(s);
-        sub.follower_id =
-            self_endpoint_.empty() ? "promoted" : self_endpoint_;
+        // Both arms are Slices: a std::string arm would make the
+        // slice point into a temporary.
+        sub.follower_id = self_endpoint_.empty() ? Slice("promoted")
+                                                 : Slice(self_endpoint_);
         net::ReplSubscribeResponse ignored;
         if (fence.ReplSubscribe(sub, &ignored).ok()) fenced[s] = true;
       }

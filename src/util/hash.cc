@@ -37,6 +37,10 @@ uint32_t Hash(const char* data, size_t n, uint32_t seed) {
   return h;
 }
 
+uint32_t Checksum(const char* data, size_t n) {
+  return Hash(data, n, 0xdb97531);
+}
+
 uint64_t Hash64(const char* data, size_t n, uint64_t seed) {
   const uint64_t kPrime = 0x100000001b3ULL;
   uint64_t h = seed ^ 0xcbf29ce484222325ULL;

@@ -10,6 +10,10 @@ namespace cachekv {
 /// bloom filter and by workload sharding helpers.
 uint32_t Hash(const char* data, size_t n, uint32_t seed);
 
+/// Checksum of data[0, n-1] guarding persisted records: value-log
+/// records, manifest blocks, SSTable blocks and flushed-zone runs.
+uint32_t Checksum(const char* data, size_t n);
+
 /// 64-bit avalanche hash of data[0, n-1] (FNV-1a core + splitmix finisher).
 /// Used by the YCSB key scrambler.
 uint64_t Hash64(const char* data, size_t n, uint64_t seed);

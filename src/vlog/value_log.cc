@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "fault/fail_point.h"
-#include "lsm/wal.h"
 #include "util/coding.h"
+#include "util/hash.h"
 
 namespace cachekv {
 
@@ -69,7 +69,7 @@ Status ValueLog::PersistRegistry() {
   }
   std::string encoded;
   PutFixed32(&encoded, static_cast<uint32_t>(body.size()));
-  PutFixed32(&encoded, WalCrc(body.data(), body.size()));
+  PutFixed32(&encoded, Checksum(body.data(), body.size()));
   encoded.append(body);
   if (encoded.size() > registry_slot_size_) {
     return Status::OutOfSpace("vlog registry exceeds its slot");
@@ -104,7 +104,7 @@ Status ValueLog::Format() {
       std::string body(len, '\0');
       env_->Load(registry_base_ + slot * registry_slot_size_ + 8,
                  body.data(), len);
-      if (WalCrc(body.data(), len) != crc) {
+      if (Checksum(body.data(), len) != crc) {
         continue;
       }
       stale_epoch = std::max(stale_epoch, DecodeFixed64(body.data()));
@@ -161,7 +161,7 @@ Status ValueLog::Append(SequenceNumber seq, const Slice& key,
   payload.append(value.data(), value.size());
 
   std::string frame;
-  PutFixed32(&frame, WalCrc(payload.data(), payload.size()));
+  PutFixed32(&frame, Checksum(payload.data(), payload.size()));
   PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
   frame.append(payload);
   // Zeroed terminator header behind the record; the next append
@@ -258,7 +258,7 @@ Status ValueLog::DecodeFrame(const Segment& seg, uint64_t offset,
   if (apply_bitrot && fault::AnyActive()) {
     fault::MaybeBitrot("vlog.read.bitrot", payload.data(), payload.size());
   }
-  if (WalCrc(payload.data(), payload.size()) != crc) {
+  if (Checksum(payload.data(), payload.size()) != crc) {
     return Status::Corruption("vlog frame crc mismatch");
   }
   Slice in(payload);
@@ -446,7 +446,7 @@ Status ValueLog::Recover() {
     std::string body(len, '\0');
     env_->Load(registry_base_ + slot * registry_slot_size_ + 8, body.data(),
                len);
-    if (WalCrc(body.data(), len) != crc) {
+    if (Checksum(body.data(), len) != crc) {
       continue;
     }
     const char* p = body.data();

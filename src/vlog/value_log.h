@@ -29,7 +29,7 @@ namespace cachekv {
 /// re-inserting the survivors through the normal write path.
 ///
 /// Record framing inside a segment:
-///   fixed32 crc        -- WalCrc over the payload
+///   fixed32 crc        -- Checksum over the payload
 ///   fixed32 payload_len  (0 => end-of-segment terminator)
 ///   payload:
 ///     fixed64 packed   -- (sequence << 8) | kTypeValue

@@ -9,6 +9,7 @@
 #include "baselines/slmdb.h"
 #include "pmem/pmem_env.h"
 #include "util/random.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -95,7 +96,7 @@ TEST_P(BaselineStoreTest, PutGetDelete) {
 
 TEST_P(BaselineStoreTest, OverwriteLatestWins) {
   for (int i = 0; i < 10; i++) {
-    ASSERT_TRUE(store_->Put("k", "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(store_->Put("k", Cat("v", i)).ok());
   }
   std::string value;
   ASSERT_TRUE(store_->Get("k", &value).ok());
@@ -143,9 +144,8 @@ TEST_P(BaselineStoreTest, ConcurrentWritersDistinctRanges) {
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; i++) {
-        std::string k =
-            "t" + std::to_string(t) + "-" + std::to_string(i);
-        if (!store_->Put(k, "v" + std::to_string(i)).ok()) {
+        std::string k = Cat("t", t, "-", i);
+        if (!store_->Put(k, Cat("v", i)).ok()) {
           errors.fetch_add(1);
         }
       }
@@ -158,10 +158,10 @@ TEST_P(BaselineStoreTest, ConcurrentWritersDistinctRanges) {
   for (int probe = 0; probe < 2000; probe++) {
     int t = rng.Uniform(kThreads);
     int i = rng.Uniform(kPerThread);
-    std::string k = "t" + std::to_string(t) + "-" + std::to_string(i);
+    std::string k = Cat("t", t, "-", i);
     std::string value;
     ASSERT_TRUE(store_->Get(k, &value).ok()) << k;
-    EXPECT_EQ("v" + std::to_string(i), value);
+    EXPECT_EQ(Cat("v", i), value);
   }
 }
 
@@ -241,8 +241,7 @@ TEST(BaselineBehaviourTest, ProfilerAccountsLockAndIndex) {
   for (int t = 0; t < 4; t++) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 2000; i++) {
-        store->Put("t" + std::to_string(t) + "k" + std::to_string(i),
-                   "value");
+        store->Put(Cat("t", t, "k", i), "value");
       }
     });
   }

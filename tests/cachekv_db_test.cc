@@ -11,6 +11,7 @@
 #include "pmem/pmem_env.h"
 #include "util/json.h"
 #include "util/random.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -126,12 +127,12 @@ TEST_F(CacheKVDbTest, ModelCheckThroughSealsAndZoneFlushes) {
   Random rng(17);
   std::string value(128, 'm');
   for (int i = 0; i < 60000; i++) {
-    std::string k = "key" + std::to_string(rng.Uniform(5000));
+    std::string k = Cat("key", rng.Uniform(5000));
     if (rng.OneIn(10)) {
       ASSERT_TRUE(db_->Delete(k).ok());
       model.erase(k);
     } else {
-      std::string v = "v" + std::to_string(i);
+      std::string v = Cat("v", i);
       ASSERT_TRUE(db_->Put(k, v).ok());
       model[k] = v;
     }
@@ -142,7 +143,7 @@ TEST_F(CacheKVDbTest, ModelCheckThroughSealsAndZoneFlushes) {
   EXPECT_GT(db_->CounterValue("db.copy_flushes"), 0u);
   EXPECT_GT(db_->CounterValue("db.zone_flushes"), 0u);
   for (int i = 0; i < 5000; i++) {
-    std::string k = "key" + std::to_string(i);
+    std::string k = Cat("key", i);
     std::string got;
     Status s = db_->Get(k, &got);
     auto it = model.find(k);
@@ -165,8 +166,8 @@ TEST_F(CacheKVDbTest, ConcurrentWritersAndReaders) {
   for (int w = 0; w < kWriters; w++) {
     writers.emplace_back([&, w] {
       for (int i = 0; i < kPerThread; i++) {
-        std::string k = "w" + std::to_string(w) + "-" + std::to_string(i);
-        if (!db_->Put(k, "v" + std::to_string(i)).ok()) {
+        std::string k = Cat("w", w, "-", i);
+        if (!db_->Put(k, Cat("v", i)).ok()) {
           errors.fetch_add(1);
         }
       }
@@ -178,8 +179,8 @@ TEST_F(CacheKVDbTest, ConcurrentWritersAndReaders) {
       Random rng(100 + r);
       std::string value;
       while (!stop.load()) {
-        std::string k = "w" + std::to_string(rng.Uniform(kWriters)) +
-                        "-" + std::to_string(rng.Uniform(kPerThread));
+        std::string k =
+            Cat("w", rng.Uniform(kWriters), "-", rng.Uniform(kPerThread));
         Status s = db_->Get(k, &value);
         if (!s.ok() && !s.IsNotFound()) {
           errors.fetch_add(1);
@@ -196,10 +197,10 @@ TEST_F(CacheKVDbTest, ConcurrentWritersAndReaders) {
   for (int probe = 0; probe < 3000; probe++) {
     int w = rng.Uniform(kWriters);
     int i = rng.Uniform(kPerThread);
-    std::string k = "w" + std::to_string(w) + "-" + std::to_string(i);
+    std::string k = Cat("w", w, "-", i);
     std::string value;
     ASSERT_TRUE(db_->Get(k, &value).ok()) << k;
-    EXPECT_EQ("v" + std::to_string(i), value);
+    EXPECT_EQ(Cat("v", i), value);
   }
 }
 
@@ -247,15 +248,13 @@ TEST_F(CacheKVDbTest, CrashRecoveryPreservesDeletes) {
 TEST_F(CacheKVDbTest, DoubleCrashRecovery) {
   OpenDb(SmallDb());
   for (int i = 0; i < 5000; i++) {
-    ASSERT_TRUE(
-        db_->Put("key" + std::to_string(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(db_->Put(Cat("key", i), Cat("v", i)).ok());
   }
   db_.reset();
   env_->SimulateCrash();
   OpenDb(SmallDb(), /*recover=*/true);
   for (int i = 5000; i < 8000; i++) {
-    ASSERT_TRUE(
-        db_->Put("key" + std::to_string(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(db_->Put(Cat("key", i), Cat("v", i)).ok());
   }
   db_.reset();
   env_->SimulateCrash();
@@ -264,8 +263,8 @@ TEST_F(CacheKVDbTest, DoubleCrashRecovery) {
   for (int probe = 0; probe < 1000; probe++) {
     int i = rng.Uniform(8000);
     std::string got;
-    ASSERT_TRUE(db_->Get("key" + std::to_string(i), &got).ok()) << i;
-    EXPECT_EQ("v" + std::to_string(i), got);
+    ASSERT_TRUE(db_->Get(Cat("key", i), &got).ok()) << i;
+    EXPECT_EQ(Cat("v", i), got);
   }
 }
 
@@ -318,19 +317,19 @@ TEST_P(CacheKVAblationTest, ModelCheck) {
   std::map<std::string, std::string> model;
   Random rng(71);
   for (int i = 0; i < 30000; i++) {
-    std::string k = "key" + std::to_string(rng.Uniform(2000));
+    std::string k = Cat("key", rng.Uniform(2000));
     if (rng.OneIn(12)) {
       ASSERT_TRUE(db->Delete(k).ok());
       model.erase(k);
     } else {
-      std::string v = "v" + std::to_string(i);
+      std::string v = Cat("v", i);
       ASSERT_TRUE(db->Put(k, v).ok());
       model[k] = v;
     }
   }
   ASSERT_TRUE(db->WaitIdle().ok());
   for (int i = 0; i < 2000; i++) {
-    std::string k = "key" + std::to_string(i);
+    std::string k = Cat("key", i);
     std::string got;
     Status s = db->Get(k, &got);
     auto it = model.find(k);
@@ -448,9 +447,7 @@ TEST_F(CacheKVDbTest, ElasticityUnderManyWriters) {
     writers.emplace_back([&, w] {
       std::string value(256, 'e');
       for (int i = 0; i < 3000; i++) {
-        if (!db_->Put("w" + std::to_string(w) + "k" + std::to_string(i),
-                      value)
-                 .ok()) {
+        if (!db_->Put(Cat("w", w, "k", i), value).ok()) {
           errors.fetch_add(1);
         }
       }

@@ -11,11 +11,10 @@
 #include "core/flushed_zone.h"
 #include "core/sub_memtable.h"
 #include "lsm/lsm_engine.h"
-#include "lsm/memtable.h"
-#include "lsm/wal.h"
 #include "pmem/meta_layout.h"
 #include "pmem/pmem_env.h"
 #include "util/random.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -51,13 +50,11 @@ TEST(FailureInjectionTest, ManifestSingleSlotCorruptionFallsBack) {
   {
     LsmEngine engine(&env, SmallLsm(), MetaLayout::ManifestBase(&env));
     ASSERT_TRUE(engine.Open(false).ok());
-    MemTable mem;
     SequenceNumber seq = 0;
     for (int batch = 0; batch < 3; batch++) {
-      MemTable m;
+      SortedRun m;
       for (int i = 0; i < 50; i++) {
-        m.Add(++seq, kTypeValue, Slice("key" + std::to_string(i)),
-              Slice("b" + std::to_string(batch)));
+        m.Add(++seq, kTypeValue, Slice(Cat("key", i)), Slice(Cat("b", batch)));
       }
       std::unique_ptr<Iterator> iter(m.NewIterator());
       ASSERT_TRUE(engine.WriteL0Tables(iter.get()).ok());
@@ -85,7 +82,7 @@ TEST(FailureInjectionTest, ManifestBothSlotsCorruptStartsEmpty) {
   {
     LsmEngine engine(&env, SmallLsm(), MetaLayout::ManifestBase(&env));
     ASSERT_TRUE(engine.Open(false).ok());
-    MemTable m;
+    SortedRun m;
     m.Add(1, kTypeValue, Slice("k"), Slice("v"));
     std::unique_ptr<Iterator> iter(m.NewIterator());
     ASSERT_TRUE(engine.WriteL0Tables(iter.get()).ok());
@@ -105,35 +102,11 @@ TEST(FailureInjectionTest, ManifestBothSlotsCorruptStartsEmpty) {
       << "with no valid manifest the engine must come up empty, not crash";
 }
 
-TEST(FailureInjectionTest, TornWalTailStopsReplayCleanly) {
-  PmemEnv env(TestEnv());
-  uint64_t region;
-  ASSERT_TRUE(env.allocator()->Allocate(1 << 20, &region).ok());
-  WalWriter writer(&env, region, 1 << 20, true);
-  writer.Reset();
-  uint64_t offsets[3];
-  for (int i = 0; i < 3; i++) {
-    offsets[i] = writer.BytesUsed();
-    ASSERT_TRUE(
-        writer.AddRecord(Slice("record-" + std::to_string(i))).ok());
-  }
-  // Tear the third record's payload.
-  Clobber(&env, region + offsets[2] + 10, 2);
-  WalReader reader(&env, region, 1 << 20);
-  std::string rec;
-  ASSERT_TRUE(reader.ReadRecord(&rec));
-  EXPECT_EQ("record-0", rec);
-  ASSERT_TRUE(reader.ReadRecord(&rec));
-  EXPECT_EQ("record-1", rec);
-  EXPECT_FALSE(reader.ReadRecord(&rec))
-      << "replay must stop at the torn record";
-}
-
 TEST(FailureInjectionTest, CorruptSSTableBytesNeverCrash) {
   PmemEnv env(TestEnv());
   LsmEngine engine(&env, SmallLsm(), MetaLayout::ManifestBase(&env));
   ASSERT_TRUE(engine.Open(false).ok());
-  MemTable m;
+  SortedRun m;
   SequenceNumber seq = 0;
   for (int i = 0; i < 2000; i++) {
     m.Add(++seq, kTypeValue, Slice("key" + std::to_string(i)),
@@ -218,9 +191,7 @@ TEST(FailureInjectionTest, RepeatedCrashesDuringLoad) {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(&env, opts, round > 0, &db).ok()) << round;
     for (int i = 0; i < 4000; i++) {
-      ASSERT_TRUE(db->Put("key" + std::to_string(written),
-                          "v" + std::to_string(written))
-                      .ok());
+      ASSERT_TRUE(db->Put(Cat("key", written), Cat("v", written)).ok());
       written++;
     }
     db.reset();
@@ -232,15 +203,15 @@ TEST(FailureInjectionTest, RepeatedCrashesDuringLoad) {
   for (int probe = 0; probe < 500; probe++) {
     int i = rng.Uniform(written);
     std::string got;
-    ASSERT_TRUE(db->Get("key" + std::to_string(i), &got).ok()) << i;
-    EXPECT_EQ("v" + std::to_string(i), got);
+    ASSERT_TRUE(db->Get(Cat("key", i), &got).ok()) << i;
+    EXPECT_EQ(Cat("v", i), got);
   }
 }
 
 // --- Crash-point sweep -----------------------------------------------------
 //
 // The two sweeps below parameterize Clobber over a grid of offsets and
-// lengths in (a) the staged-zone table data and (b) the sub-MemTable pool
+// lengths in (a) the staged-zone table data and (b) the sub-SortedRun pool
 // headers. The contract under test: after a crash plus arbitrary damage at
 // a grid point, reopening the store either restores every committed key or
 // fails with a Corruption status — it must never open successfully while
@@ -379,7 +350,7 @@ TEST_P(PoolHeaderClobberSweep, RestoresOrReportsCorruption) {
   {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(&env, opts, false, &db).ok());
-    // Few enough writes that they stay in the active sub-MemTable: the
+    // Few enough writes that they stay in the active sub-SortedRun: the
     // clobbered headers guard data that only exists in the pool.
     for (int i = 0; i < 50; i++) {
       std::string key = "hk" + std::to_string(i);

@@ -15,6 +15,7 @@
 #include "core/db.h"
 #include "fault/fail_point.h"
 #include "pmem/pmem_env.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -86,8 +87,7 @@ TEST(FaultSoakTest, AcknowledgedWritesSurviveProbabilisticFaultStorm) {
       for (int i = 0; i < kOpsPerThread; i++) {
         char key[32];
         snprintf(key, sizeof(key), "t%d-key%06d", t, i % 1000);
-        std::string value = "t" + std::to_string(t) + "-v" +
-                            std::to_string(i) + std::string(120, 's');
+        std::string value = Cat("t", t, "-v", i, std::string(120, 's'));
         if (i % 13 == 12) {
           if (db->Delete(key).ok()) {
             acked[t].erase(key);

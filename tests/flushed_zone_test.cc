@@ -10,6 +10,7 @@
 #include "pmem/meta_layout.h"
 #include "pmem/pmem_env.h"
 #include "util/random.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -192,8 +193,8 @@ TEST_F(FlushedZoneTest, L0StreamIsDedupedAndSorted) {
   for (int t = 0; t < 4; t++) {
     std::map<std::string, std::string> entries;
     for (int i = 0; i < 200; i++) {
-      std::string k = "key" + std::to_string(rng.Uniform(150));
-      entries[k] = "t" + std::to_string(t) + "-" + std::to_string(i);
+      std::string k = Cat("key", rng.Uniform(150));
+      entries[k] = Cat("t", t, "-", i);
     }
     AddTable(entries, &seq);
     for (const auto& [k, v] : entries) {
@@ -283,9 +284,8 @@ TEST(FlushedZoneNoCompactionTest, PerTableProbesStillCorrect) {
     std::string data;
     uint64_t count = 0;
     for (int i = 0; i < 50; i++) {
-      EncodeRecord(&data, ++seq, kTypeValue,
-                   Slice("key" + std::to_string(i)),
-                   Slice("t" + std::to_string(t)));
+      EncodeRecord(&data, ++seq, kTypeValue, Slice(Cat("key", i)),
+                   Slice(Cat("t", t)));
       count++;
     }
     const uint64_t region_size =

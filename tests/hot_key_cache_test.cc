@@ -8,6 +8,7 @@
 
 #include "fault/fail_point.h"
 #include "obs/metrics.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace cache {
@@ -215,7 +216,7 @@ TEST_F(HotKeyCacheTest, ConcurrentFillInvalidateSmoke) {
   for (int t = 0; t < 4; t++) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < 4000; i++) {
-        const std::string key = "k" + std::to_string((i * 7 + t) % 31);
+        const std::string key = Cat("k", (i * 7 + t) % 31);
         if (t == 0 && i % 3 == 0) {
           cache.Invalidate(key);
           continue;

@@ -5,9 +5,9 @@
 #include <string>
 
 #include "lsm/lsm_engine.h"
-#include "lsm/memtable.h"
 #include "pmem/meta_layout.h"
 #include "util/random.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -40,10 +40,10 @@ class LsmEngineTest : public ::testing::Test {
     EXPECT_TRUE(engine_->Open(false).ok());
   }
 
-  // Flushes a batch of entries through a temporary memtable.
+  // Flushes a batch of entries through a sorted run, as a memtable flush would.
   void FlushBatch(const std::map<std::string, std::string>& entries,
                   SequenceNumber* seq, ValueType type = kTypeValue) {
-    MemTable mem;
+    SortedRun mem;
     for (const auto& [k, v] : entries) {
       mem.Add(++*seq, type, Slice(k), Slice(v));
     }
@@ -107,7 +107,7 @@ TEST_F(LsmEngineTest, CompactionTriggeredByL0Count) {
     for (int i = 0; i < 200; i++) {
       char buf[16];
       snprintf(buf, sizeof(buf), "key%05d", (batch * 131 + i * 7) % 1000);
-      entries[buf] = "b" + std::to_string(batch);
+      entries[buf] = Cat("b", batch);
       expected[buf] = entries[buf];
     }
     FlushBatch(entries, &seq);
@@ -126,28 +126,27 @@ TEST_F(LsmEngineTest, CompactionDropsShadowedVersionsAndTombstones) {
   for (int round = 0; round < 4; round++) {
     std::map<std::string, std::string> entries;
     for (int i = 0; i < 300; i++) {
-      entries["key" + std::to_string(i)] = "r" + std::to_string(round);
+      entries[Cat("key", i)] = Cat("r", round);
     }
     FlushBatch(entries, &seq);
   }
   std::map<std::string, std::string> dels;
   for (int i = 0; i < 300; i++) {
-    dels["key" + std::to_string(i)] = "";
+    dels[Cat("key", i)] = "";
   }
   FlushBatch(dels, &seq, kTypeDeletion);
   // Force compactions until quiet.
   for (int i = 0; i < 6; i++) {
     std::map<std::string, std::string> filler;
-    filler["zfill" + std::to_string(i)] = std::string(1000, 'f');
+    filler[Cat("zfill", i)] = std::string(1000, 'f');
     FlushBatch(filler, &seq);
   }
   for (int i = 0; i < 300; i++) {
     std::string value;
     bool deleted;
-    EXPECT_TRUE(engine_
-                    ->Get(Slice("key" + std::to_string(i)), seq, &value,
-                          &deleted)
-                    .IsNotFound());
+    EXPECT_TRUE(
+        engine_->Get(Slice(Cat("key", i)), seq, &value, &deleted)
+            .IsNotFound());
   }
 }
 
@@ -171,8 +170,8 @@ TEST_F(LsmEngineTest, RecoveryFromManifest) {
   for (int batch = 0; batch < 6; batch++) {
     std::map<std::string, std::string> entries;
     for (int i = 0; i < 150; i++) {
-      std::string k = "key" + std::to_string((batch * 37 + i) % 500);
-      entries[k] = "v" + std::to_string(batch * 1000 + i);
+      std::string k = Cat("key", (batch * 37 + i) % 500);
+      entries[k] = Cat("v", batch * 1000 + i);
       expected[k] = entries[k];
     }
     FlushBatch(entries, &seq);
@@ -223,10 +222,10 @@ TEST_F(LsmEngineTest, BackgroundCompactionConverges) {
   SequenceNumber seq = 0;
   std::map<std::string, std::string> expected;
   for (int batch = 0; batch < 10; batch++) {
-    MemTable mem;
+    SortedRun mem;
     for (int i = 0; i < 300; i++) {
-      std::string k = "key" + std::to_string((batch * 61 + i) % 1500);
-      std::string v = "v" + std::to_string(batch * 1000 + i);
+      std::string k = Cat("key", (batch * 61 + i) % 1500);
+      std::string v = Cat("v", batch * 1000 + i);
       mem.Add(++seq, kTypeValue, Slice(k), Slice(v));
       expected[k] = v;
     }

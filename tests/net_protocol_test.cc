@@ -4,6 +4,7 @@
 // truncated, oversized, and garbage input with a latched decode error —
 // never a crash or an out-of-bounds read.
 
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,6 +30,31 @@ Frame DecodeOne(FrameDecoder* dec, const std::string& stream) {
   EXPECT_EQ(Result::kNeedMore, dec->Next(&extra));
   EXPECT_EQ(0u, dec->buffered());
   return f;
+}
+
+// One descriptor row per opcode: every name is set, no two rows share
+// a name, and ValidOp accepts exactly the table's opcodes.
+TEST(NetProtocolTest, OpTableHasOneDistinctRowPerOpcode) {
+  ASSERT_EQ(17, kNumOps);
+  std::set<std::string> names;
+  for (int raw = 0; raw < 256; raw++) {
+    const bool in_table = raw >= 1 && raw <= kNumOps;
+    EXPECT_EQ(in_table, ValidOp(static_cast<uint8_t>(raw))) << raw;
+    if (!in_table) continue;
+    const OpInfo& info = OpInfoOf(static_cast<Op>(raw));
+    EXPECT_EQ(raw, static_cast<int>(info.op));
+    for (const char* name :
+         {info.name, info.histogram, info.trace, info.client_span}) {
+      ASSERT_NE(nullptr, name) << raw;
+      EXPECT_NE('\0', name[0]) << raw;
+      EXPECT_TRUE(names.insert(name).second) << name << " is shared";
+    }
+  }
+  EXPECT_TRUE(OpInfoOf(Op::kPut).Is(kOpBatchableWrite));
+  EXPECT_TRUE(OpInfoOf(Op::kScan).Is(kOpSnapshotRead));
+  EXPECT_TRUE(OpInfoOf(Op::kReplAck).Is(kOpReplStream));
+  EXPECT_FALSE(OpInfoOf(Op::kPromote).Is(kOpReplStream));
+  EXPECT_TRUE(OpInfoOf(Op::kPing).Is(kOpNeverShed));
 }
 
 TEST(NetProtocolTest, GetRoundTrip) {

@@ -7,7 +7,11 @@
 // case: killing the server mid-load and reopening the store loses no
 // acknowledged write.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -24,6 +28,7 @@
 #include "net/shard_router.h"
 #include "pmem/pmem_env.h"
 #include "util/json.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -48,6 +53,40 @@ CacheKVOptions TestDb() {
   o.write_stall_timeout_ms = 2000;
   o.lsm.background_compaction = false;
   return o;
+}
+
+/// A raw TCP connection to the server, for frames no client API emits.
+int ConnectRaw(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                           sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads `count` response frames off `fd`: (request id, code) each.
+std::vector<std::pair<uint64_t, uint16_t>> ReadResponses(int fd,
+                                                         size_t count) {
+  std::vector<std::pair<uint64_t, uint16_t>> out;
+  net::FrameDecoder dec;
+  net::Frame frame;
+  char buf[4096];
+  while (out.size() < count) {
+    if (dec.Next(&frame) == net::FrameDecoder::Result::kFrame) {
+      out.emplace_back(frame.request_id, frame.code);
+      continue;
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;  // closed before answering every frame
+    dec.Feed(buf, static_cast<size_t>(n));
+  }
+  return out;
 }
 
 class NetServerTest : public ::testing::Test {
@@ -153,15 +192,14 @@ TEST_F(NetServerTest, ConcurrentClientsAgainstShadowMaps) {
       // Disjoint per-thread key prefixes; every thread maintains its own
       // shadow map and verifies against it at the end.
       std::map<std::string, std::string> shadow;
-      const std::string prefix = "t" + std::to_string(t) + "-";
+      const std::string prefix = Cat("t", t, "-");
       for (int i = 0; i < kOps; i++) {
         const std::string key = prefix + std::to_string(i % 50);
         if (i % 7 == 3) {
           if (!client.Delete(key).ok()) failures.fetch_add(1);
           shadow.erase(key);
         } else {
-          const std::string value =
-              "v" + std::to_string(t) + "." + std::to_string(i);
+          const std::string value = Cat("v", t, ".", i);
           if (!client.Put(key, value).ok()) failures.fetch_add(1);
           shadow[key] = value;
         }
@@ -232,6 +270,73 @@ TEST_F(NetServerTest, PipelinedWritesAreBatchedAndAcknowledged) {
   EXPECT_TRUE(results[2].status.ok());
   EXPECT_EQ(id_miss, results[3].id);
   EXPECT_TRUE(results[3].status.IsNotFound());
+}
+
+// A request frame carrying the response flag is a decode error whether
+// it comes alone or inside a pipelined run of writes, and never reaches
+// the store; the rest of its run still commits.
+TEST_F(NetServerTest, ResponseFlaggedWritesAreRejectedAloneAndInRuns) {
+  StartServer();
+  auto put = [](uint64_t id, const std::string& key, bool flagged) {
+    std::string frame;
+    net::EncodePutRequest(&frame, id, key, "v");
+    if (flagged) frame[5] = static_cast<char>(net::kFlagResponse);
+    return frame;
+  };
+  // Each flight goes out in one send, so its frames land in one decode
+  // round: a lone write, a run of two, and a run with one bad member.
+  const std::vector<std::pair<std::string, size_t>> flights = {
+      {put(1, "lone", true), 1},
+      {put(2, "run-a", true) + put(3, "run-b", true), 2},
+      {put(4, "mix-a", false) + put(5, "mix-b", true) +
+           put(6, "mix-c", false),
+       3},
+  };
+  const int fd = ConnectRaw(server_->port());
+  ASSERT_GE(fd, 0);
+  std::vector<std::pair<uint64_t, uint16_t>> responses;
+  for (const auto& [bytes, frames] : flights) {
+    ASSERT_EQ(static_cast<ssize_t>(bytes.size()),
+              ::send(fd, bytes.data(), bytes.size(), 0));
+    for (const auto& r : ReadResponses(fd, frames)) {
+      responses.push_back(r);
+    }
+  }
+  ::close(fd);
+
+  const std::vector<uint16_t> want = {net::kDecodeError, net::kDecodeError,
+                                      net::kDecodeError, net::kOk,
+                                      net::kDecodeError, net::kOk};
+  ASSERT_EQ(want.size(), responses.size());
+  for (size_t i = 0; i < responses.size(); i++) {
+    EXPECT_EQ(i + 1, responses[i].first);
+    EXPECT_EQ(want[i], responses[i].second)
+        << "request " << i + 1 << ": "
+        << net::WireCodeName(responses[i].second);
+  }
+  std::string value;
+  for (const char* key : {"lone", "run-a", "run-b", "mix-b"}) {
+    EXPECT_TRUE(db_->Get(key, &value).IsNotFound()) << key;
+  }
+  for (const char* key : {"mix-a", "mix-c"}) {
+    EXPECT_TRUE(db_->Get(key, &value).ok()) << key;
+  }
+}
+
+// A lone write is a run of one: timed under its own op, never counted
+// as a batched commit.
+TEST_F(NetServerTest, LoneWritesKeepTheirOwnHistograms) {
+  StartServer();
+  net::Client client;
+  MakeClient(&client);
+  ASSERT_TRUE(client.Put("lone", "v").ok());
+  ASSERT_TRUE(client.Delete("lone").ok());
+  const obs::MetricsSnapshot snap = db_->GetMetricsSnapshot();
+  EXPECT_EQ(1u, snap.HistogramCount("net.op.put"));
+  EXPECT_EQ(1u, snap.HistogramCount("net.op.del"));
+  EXPECT_EQ(0u, snap.CounterValue("net.batched_writes"));
+  EXPECT_EQ(0u, snap.CounterValue("net.batched_ops"));
+  EXPECT_EQ(2u, snap.CounterValue("net.requests"));
 }
 
 TEST_F(NetServerTest, StatsServesTheRegistryDump) {
@@ -496,8 +601,8 @@ TEST_F(ShardedNetServerTest, OpsRouteAcrossAllShards) {
 
   std::vector<std::string> keys;
   for (int i = 0; i < 200; i++) {
-    const std::string key = "route" + std::to_string(i);
-    ASSERT_TRUE(client.Put(key, "v" + std::to_string(i)).ok());
+    const std::string key = Cat("route", i);
+    ASSERT_TRUE(client.Put(key, Cat("v", i)).ok());
     keys.push_back(key);
   }
   // 200 keys over 4 shards: every store must have received writes.
@@ -511,7 +616,7 @@ TEST_F(ShardedNetServerTest, OpsRouteAcrossAllShards) {
   for (int i = 0; i < 200; i++) {
     std::string got;
     ASSERT_TRUE(client.Get(keys[static_cast<size_t>(i)], &got).ok());
-    EXPECT_EQ("v" + std::to_string(i), got);
+    EXPECT_EQ(Cat("v", i), got);
   }
   // The routing is the fixture ring: each key lives in exactly the
   // shard the router names (verified store-side, bypassing the net).
@@ -620,15 +725,14 @@ TEST_F(ShardedNetServerTest, ConcurrentShardedClientsAgainstShadowMaps) {
         return;
       }
       std::map<std::string, std::string> shadow;
-      const std::string prefix = "st" + std::to_string(t) + "-";
+      const std::string prefix = Cat("st", t, "-");
       for (int i = 0; i < kOps; i++) {
         const std::string key = prefix + std::to_string(i % 50);
         if (i % 7 == 3) {
           if (!client.Delete(key).ok()) failures.fetch_add(1);
           shadow.erase(key);
         } else {
-          const std::string value =
-              "v" + std::to_string(t) + "." + std::to_string(i);
+          const std::string value = Cat("v", t, ".", i);
           if (!client.Put(key, value).ok()) failures.fetch_add(1);
           shadow[key] = value;
         }

@@ -9,6 +9,7 @@
 #include "index/pmem_skiplist.h"
 #include "pmem/pmem_env.h"
 #include "util/random.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -117,8 +118,7 @@ TEST_F(PmemSkipListTest, OutOfSpace) {
   Status s = Status::OK();
   int inserted = 0;
   for (int i = 0; i < 10 && s.ok(); i++) {
-    s = small.Insert(i + 1, kTypeValue, Slice("k" + std::to_string(i)),
-                     Slice(big));
+    s = small.Insert(i + 1, kTypeValue, Slice(Cat("k", i)), Slice(big));
     if (s.ok()) inserted++;
   }
   EXPECT_TRUE(s.IsOutOfSpace());
@@ -269,8 +269,9 @@ TEST_P(BPlusTreeScaleTest, SequentialAndReverseInserts) {
       std::string ks = k.ToString();
       EXPECT_LT(prev, ks);
       prev = ks;
-      EXPECT_EQ(ks, "k" + std::string(8 - std::to_string(v).size(), '0') +
-                        std::to_string(v));
+      char want[16];
+      snprintf(want, sizeof(want), "k%08d", static_cast<int>(v));
+      EXPECT_EQ(std::string(want), ks);
       count++;
     });
     EXPECT_EQ(n, count);

@@ -539,6 +539,7 @@ TEST_F(ShardedSnapshotTest, CrossShardScanIsOneConsistentCut) {
   // Writers churn every key to later generations while we read the cut.
   std::atomic<bool> stop{false};
   std::atomic<int> write_failures{0};
+  std::atomic<int> writers_past_gen0{0};
   std::vector<std::thread> writers;
   for (int t = 0; t < 3; t++) {
     writers.emplace_back([&, t] {
@@ -556,7 +557,7 @@ TEST_F(ShardedSnapshotTest, CrossShardScanIsOneConsistentCut) {
             write_failures.fetch_add(1);
           }
         }
-        gen++;
+        if (gen++ == 1) writers_past_gen0.fetch_add(1);
       }
     });
   }
@@ -582,6 +583,11 @@ TEST_F(ShardedSnapshotTest, CrossShardScanIsOneConsistentCut) {
     EXPECT_EQ("gen0-" + std::to_string(i), got);
   }
 
+  // The latest-read check below needs every key rewritten at least once,
+  // which a writer slow to start may not have done yet.
+  while (writers_past_gen0.load() < 3 && write_failures.load() == 0) {
+    std::this_thread::yield();
+  }
   stop.store(true);
   for (auto& th : writers) th.join();
   EXPECT_EQ(0, write_failures.load());

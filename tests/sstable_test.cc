@@ -9,6 +9,7 @@
 #include "lsm/sstable.h"
 #include "pmem/pmem_env.h"
 #include "util/random.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -242,8 +243,7 @@ TEST_F(SSTableTest, FullScan) {
   std::map<std::string, std::string> model;
   Random rng(77);
   for (int i = 0; i < 3000; i++) {
-    model["k" + std::to_string(rng.Next64())] =
-        "v" + std::to_string(i);
+    model[Cat("k", rng.Next64())] = Cat("v", i);
   }
   BuildAndOpen(model);
   std::unique_ptr<Iterator> iter(reader_->NewIterator());

@@ -9,6 +9,7 @@
 #include "core/sub_skiplist.h"
 #include "pmem/pmem_env.h"
 #include "util/random.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -207,7 +208,7 @@ TEST_F(SubSkiplistTest, IncrementalSyncs) {
     for (int i = 0; i < 50; i++) {
       ASSERT_TRUE(table_
                       .Append(round * 50 + i + 1, kTypeValue,
-                              Slice("k" + std::to_string(round * 50 + i)),
+                              Slice(Cat("k", round * 50 + i)),
                               Slice("v"))
                       .ok());
     }

@@ -271,6 +271,31 @@ TEST_F(TelemetryTest, DelayedRequestLandsInSlowLogWithGuiltyStage) {
   EXPECT_GE(db_->CounterValue("net.slowlog.queries"), 2u);
 }
 
+// Every op names itself in the slow log: a slow SNAPSHOT is logged as
+// "snapshot", not "unknown".
+TEST_F(TelemetryTest, SlowSnapshotIsLoggedUnderItsOpName) {
+  net::ServerOptions srv;
+  srv.slow_request_us = 2'000;
+  StartServer(srv);
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  auto* reg = fault::FailPointRegistry::Global();
+  ASSERT_TRUE(reg->Enable("net.decode", "once,delay:30000").ok());
+  net::SnapshotResponse snap;
+  ASSERT_TRUE(client.CreateSnapshot(0, &snap).ok());
+  reg->DisableAll();
+
+  std::string json;
+  ASSERT_TRUE(client.SlowLog(0, &json).ok());
+  JsonValue doc;
+  ASSERT_TRUE(JsonValue::Parse(json, &doc).ok());
+  ASSERT_TRUE(doc.is_array());
+  ASSERT_EQ(1u, doc.items().size()) << json;
+  ASSERT_NE(nullptr, doc.items()[0].Get("op"));
+  EXPECT_EQ("snapshot", doc.items()[0].Get("op")->str());
+  ASSERT_TRUE(client.ReleaseSnapshot(snap.snapshot_id).ok());
+}
+
 TEST_F(TelemetryTest, SlowLogDisabledAnswersEmptyArray) {
   net::ServerOptions srv;
   srv.slow_request_us = 0;  // capture disabled

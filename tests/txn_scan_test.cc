@@ -9,6 +9,7 @@
 #include "core/db.h"
 #include "pmem/pmem_env.h"
 #include "util/random.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -74,7 +75,7 @@ TEST_F(TxnScanTest, MultiPutValidation) {
   // enter the sub-memtable.
   std::vector<DB::BatchOp> huge;
   for (int i = 0; i < 10; i++) {
-    huge.push_back({false, "k" + std::to_string(i),
+    huge.push_back({false, Cat("k", i),
                     std::string(100 << 10, 'x')});
   }
   ASSERT_TRUE(db_->MultiPut(huge).ok());
@@ -99,9 +100,7 @@ TEST_F(TxnScanTest, MultiPutSurvivesCrashAtomically) {
   for (int t = 0; t < kTxns; t++) {
     std::vector<DB::BatchOp> batch;
     for (int j = 0; j < 3; j++) {
-      batch.push_back({false,
-                       "txn" + std::to_string(t) + "-" + std::to_string(j),
-                       "v" + std::to_string(t)});
+      batch.push_back({false, Cat("txn", t, "-", j), Cat("v", t)});
     }
     ASSERT_TRUE(db_->MultiPut(batch).ok());
   }
@@ -114,12 +113,9 @@ TEST_F(TxnScanTest, MultiPutSurvivesCrashAtomically) {
     // All three members of the transaction must agree.
     for (int j = 0; j < 3; j++) {
       std::string value;
-      ASSERT_TRUE(db_->Get("txn" + std::to_string(t) + "-" +
-                               std::to_string(j),
-                           &value)
-                      .ok())
+      ASSERT_TRUE(db_->Get(Cat("txn", t, "-", j), &value).ok())
           << t << "-" << j;
-      EXPECT_EQ("v" + std::to_string(t), value);
+      EXPECT_EQ(Cat("v", t), value);
     }
   }
 }

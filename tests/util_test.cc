@@ -216,6 +216,21 @@ TEST(HashTest, SignedUnsignedIssue) {
             Hash(reinterpret_cast<const char*>(data3), 3, 1));
 }
 
+// Persisted vlog records, manifests, SSTable blocks and zone runs carry
+// this checksum, so its value for a given input must never change.
+TEST(HashTest, ChecksumIsStableAndCatchesAFlippedBit) {
+  const std::string data = "123456789";
+  EXPECT_EQ(0x17635a74u, Checksum(data.data(), data.size()));
+  EXPECT_EQ(0x0db97531u, Checksum(nullptr, 0));
+  for (size_t bit = 0; bit < data.size() * 8; bit++) {
+    std::string flipped = data;
+    flipped[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+    EXPECT_NE(Checksum(data.data(), data.size()),
+              Checksum(flipped.data(), flipped.size()))
+        << "bit " << bit;
+  }
+}
+
 TEST(HashTest, Hash64Avalanche) {
   // Flipping one bit should change roughly half the output bits.
   std::string a = "the quick brown fox";

@@ -4,11 +4,11 @@
 #include <string>
 #include <vector>
 
-#include "lsm/memtable.h"
 #include "lsm/merger.h"
 #include "lsm/version.h"
 #include "pmem/meta_layout.h"
 #include "pmem/pmem_env.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -108,11 +108,11 @@ TEST(ManifestTest, EmptyLevelsRoundTrip) {
 // --------------------------------------------------------------------
 // Iterator combinators.
 
-MemTable* FillMem(std::initializer_list<
+SortedRun* FillMem(std::initializer_list<
                       std::tuple<const char*, SequenceNumber, ValueType,
                                  const char*>>
                       entries) {
-  auto* mem = new MemTable();
+  auto* mem = new SortedRun();
   for (const auto& [k, seq, type, v] : entries) {
     mem->Add(seq, type, Slice(k), Slice(v));
   }
@@ -120,10 +120,10 @@ MemTable* FillMem(std::initializer_list<
 }
 
 TEST(MergerTest, MergesSortedStreams) {
-  std::unique_ptr<MemTable> a(FillMem({{"a", 1, kTypeValue, "1"},
+  std::unique_ptr<SortedRun> a(FillMem({{"a", 1, kTypeValue, "1"},
                                        {"c", 3, kTypeValue, "3"},
                                        {"e", 5, kTypeValue, "5"}}));
-  std::unique_ptr<MemTable> b(FillMem({{"b", 2, kTypeValue, "2"},
+  std::unique_ptr<SortedRun> b(FillMem({{"b", 2, kTypeValue, "2"},
                                        {"d", 4, kTypeValue, "4"}}));
   InternalKeyComparator icmp;
   std::unique_ptr<Iterator> merged(NewMergingIterator(
@@ -141,7 +141,7 @@ TEST(MergerTest, EmptyChildrenHandled) {
   merged->SeekToFirst();
   EXPECT_FALSE(merged->Valid());
 
-  std::unique_ptr<MemTable> empty(new MemTable());
+  std::unique_ptr<SortedRun> empty(new SortedRun());
   std::unique_ptr<Iterator> merged2(NewMergingIterator(
       &icmp, {empty->NewIterator(), NewEmptyIterator()}));
   merged2->SeekToFirst();
@@ -149,7 +149,7 @@ TEST(MergerTest, EmptyChildrenHandled) {
 }
 
 TEST(MergerTest, DedupKeepsFreshest) {
-  std::unique_ptr<MemTable> a(FillMem({{"k", 10, kTypeValue, "newest"},
+  std::unique_ptr<SortedRun> a(FillMem({{"k", 10, kTypeValue, "newest"},
                                        {"k", 5, kTypeValue, "older"},
                                        {"k", 1, kTypeValue, "oldest"},
                                        {"z", 2, kTypeValue, "zv"}}));
@@ -166,7 +166,7 @@ TEST(MergerTest, DedupKeepsFreshest) {
 }
 
 TEST(MergerTest, UserKeyIteratorElidesTombstones) {
-  std::unique_ptr<MemTable> a(FillMem({{"a", 1, kTypeValue, "av"},
+  std::unique_ptr<SortedRun> a(FillMem({{"a", 1, kTypeValue, "av"},
                                        {"b", 2, kTypeDeletion, ""},
                                        {"c", 3, kTypeValue, "cv"}}));
   std::unique_ptr<Iterator> user(NewUserKeyIterator(
@@ -182,7 +182,7 @@ TEST(MergerTest, UserKeyIteratorElidesTombstones) {
 }
 
 TEST(MergerTest, UserKeySeek) {
-  std::unique_ptr<MemTable> a(FillMem({{"apple", 1, kTypeValue, "1"},
+  std::unique_ptr<SortedRun> a(FillMem({{"apple", 1, kTypeValue, "1"},
                                        {"banana", 2, kTypeValue, "2"},
                                        {"cherry", 3, kTypeValue, "3"}}));
   std::unique_ptr<Iterator> user(NewUserKeyIterator(
@@ -200,9 +200,9 @@ TEST(MergerTest, UserKeySeek) {
 TEST(MergerTest, FresherChildWinsAcrossStreams) {
   // The same user key in two streams: the merged+deduped stream must
   // yield the higher-sequence version regardless of child order.
-  std::unique_ptr<MemTable> older(
+  std::unique_ptr<SortedRun> older(
       FillMem({{"k", 3, kTypeValue, "old"}}));
-  std::unique_ptr<MemTable> newer(
+  std::unique_ptr<SortedRun> newer(
       FillMem({{"k", 8, kTypeValue, "new"}}));
   InternalKeyComparator icmp;
   for (bool newer_first : {true, false}) {

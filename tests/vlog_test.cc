@@ -17,6 +17,7 @@
 #include "pmem/pmem_env.h"
 #include "vlog/value_log.h"
 #include "vlog/value_pointer.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -92,7 +93,7 @@ TEST(ValueLogTest, RollsOverSegmentsAndReplaysRecords) {
   for (int i = 0; i < 64; i++) {
     ValuePointer ptr;
     ASSERT_TRUE(
-        vlog->Append(1 + i, Slice("k" + std::to_string(i)), Slice(value), &ptr)
+        vlog->Append(1 + i, Slice(Cat("k", i)), Slice(value), &ptr)
             .ok());
     ptrs.push_back(ptr);
   }
@@ -104,7 +105,7 @@ TEST(ValueLogTest, RollsOverSegmentsAndReplaysRecords) {
   ASSERT_TRUE(vlog
                   ->ForEachRecord(
                       ptrs[0].file_id,
-                      [&](SequenceNumber seq, const Slice& key,
+                      [&](SequenceNumber seq, const Slice& /*key*/,
                           const Slice& v, const ValuePointer& ptr) {
                         EXPECT_EQ(value, v.ToString());
                         EXPECT_EQ(ptrs[0].file_id, ptr.file_id);
@@ -126,7 +127,7 @@ TEST(ValueLogTest, RecoveryReplaysTailAndTruncatesTornAppend) {
     ASSERT_TRUE(vlog->Format().ok());
     for (int i = 0; i < 40; i++) {
       ValuePointer ptr;
-      ASSERT_TRUE(vlog->Append(1 + i, Slice("k" + std::to_string(i)),
+      ASSERT_TRUE(vlog->Append(1 + i, Slice(Cat("k", i)),
                                Slice(value), &ptr)
                       .ok());
       ptrs.push_back(ptr);
@@ -151,7 +152,7 @@ TEST(ValueLogTest, RecoveryReplaysTailAndTruncatesTornAppend) {
   for (int i = 0; i < 40; i++) {
     std::string got;
     ASSERT_TRUE(
-        recovered->Read(ptrs[i], Slice("k" + std::to_string(i)), &got).ok())
+        recovered->Read(ptrs[i], Slice(Cat("k", i)), &got).ok())
         << "lost record " << i;
     EXPECT_EQ(value, got);
   }
@@ -174,7 +175,7 @@ TEST(ValueLogTest, GcLivenessAccountingPicksTheDeadestSegment) {
   for (int i = 0; i < 48; i++) {
     ValuePointer ptr;
     ASSERT_TRUE(
-        vlog->Append(1 + i, Slice("k" + std::to_string(i)), Slice(value), &ptr)
+        vlog->Append(1 + i, Slice(Cat("k", i)), Slice(value), &ptr)
             .ok());
     ptrs.push_back(ptr);
   }
@@ -186,7 +187,7 @@ TEST(ValueLogTest, GcLivenessAccountingPicksTheDeadestSegment) {
   const uint32_t first = ptrs[0].file_id;
   for (size_t i = 0; i < ptrs.size(); i++) {
     if (ptrs[i].file_id == first) {
-      vlog->AddDeadBytes(ptrs[i], std::string("k" + std::to_string(i)).size());
+      vlog->AddDeadBytes(ptrs[i], Cat("k", i).size());
     }
   }
   EXPECT_EQ(first, vlog->PickGcVictim(0.5));
@@ -265,9 +266,8 @@ TEST(VlogDbTest, SeparatedValuesSurviveCrashRecovery) {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(env.get(), opts, false, &db).ok());
     for (int i = 0; i < 500; i++) {
-      std::string key = "key" + std::to_string(i % 200);
-      std::string value =
-          "v" + std::to_string(i) + std::string(400, 'c');
+      std::string key = Cat("key", i % 200);
+      std::string value = Cat("v", i, std::string(400, 'c'));
       ASSERT_TRUE(db->Put(key, value).ok());
       shadow[key] = value;
     }
@@ -311,9 +311,8 @@ TEST(VlogDbTest, GcRewritesLiveValuesAndReclaimsSegments) {
   std::map<std::string, std::string> model;
   for (int round = 0; round < 400; round++) {
     for (int i = 0; i < 40; i++) {
-      std::string key = "gckey" + std::to_string(i);
-      std::string value =
-          "r" + std::to_string(round) + std::string(300, 'g');
+      std::string key = Cat("gckey", i);
+      std::string value = Cat("r", round, std::string(300, 'g'));
       ASSERT_TRUE(db->Put(key, value).ok());
       model[key] = value;
     }
