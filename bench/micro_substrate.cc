@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -94,6 +95,72 @@ void BM_CacheNtStore256B(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_CacheNtStore256B);
+
+// 16 KiB substrate calls, the size of a kvsep value. The env has the
+// testbed's 36 MB LLC, so tag probes touch a host array of that size, as
+// in the server. The argument is the latency scale; host_ns is the wall
+// time of one call and injected_ns the device time it was charged, so
+// host_ns - injected_ns is the simulator's own cost.
+constexpr size_t k16K = 16 << 10;
+
+EnvOptions Substrate16KOptions(const benchmark::State& state) {
+  EnvOptions opts;
+  opts.pmem_capacity = 64ull << 20;
+  opts.latency.scale = static_cast<double>(state.range(0));
+  return opts;
+}
+
+void ReportPerCall(benchmark::State& state, PmemEnv* env,
+                   uint64_t injected_before,
+                   std::chrono::steady_clock::duration elapsed) {
+  const double calls = static_cast<double>(state.iterations());
+  state.counters["host_ns"] =
+      std::chrono::duration<double, std::nano>(elapsed).count() / calls;
+  state.counters["injected_ns"] =
+      static_cast<double>(env->latency()->total_injected_ns() -
+                          injected_before) /
+      calls;
+}
+
+// Sequential 16 KiB non-temporal stores: the value-log append path.
+void BM_NtStore16K(benchmark::State& state) {
+  PmemEnv env(Substrate16KOptions(state));
+  std::string buf(k16K, '\x5a');
+  const uint64_t region = 32ull << 20;
+  uint64_t addr = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    env.NtStore(addr, buf.data(), buf.size());
+    addr = (addr + k16K) % region;
+  }
+  ReportPerCall(state, &env, 0, std::chrono::steady_clock::now() - start);
+  state.SetBytesProcessed(state.iterations() * k16K);
+}
+BENCHMARK(BM_NtStore16K)->ArgName("scale")->Arg(0)->Arg(1);
+
+// Sequential 16 KiB loads over a region larger than the LLC, so every
+// line misses: the value-log read path.
+void BM_Load16K(benchmark::State& state) {
+  PmemEnv env(Substrate16KOptions(state));
+  std::string buf(k16K, '\x5a');
+  const uint64_t region = 48ull << 20;
+  for (uint64_t addr = 0; addr < region; addr += k16K) {
+    env.NtStore(addr, buf.data(), buf.size());
+  }
+  const uint64_t setup_ns = env.latency()->total_injected_ns();
+  uint64_t addr = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    env.Load(addr, buf.data(), buf.size());
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+    addr = (addr + k16K) % region;
+  }
+  ReportPerCall(state, &env, setup_ns,
+                std::chrono::steady_clock::now() - start);
+  state.SetBytesProcessed(state.iterations() * k16K);
+}
+BENCHMARK(BM_Load16K)->ArgName("scale")->Arg(0)->Arg(1);
 
 struct U64Comparator {
   int operator()(uint64_t a, uint64_t b) const {

@@ -10,7 +10,7 @@ CacheSim::CacheSim(const CacheConfig& config, PmemDevice* device,
                    LatencyModel* latency)
     : config_(config), device_(device), latency_(latency) {
   locked_base_.store(config_.locked_base, std::memory_order_release);
-  assert(config_.ways >= 1);
+  if (config_.ways < 1) config_.ways = 1;
   assert(IsAligned(config_.locked_base, kCacheLineSize));
   assert(IsAligned(config_.locked_size, kCacheLineSize));
   assert(config_.locked_size <= config_.capacity);
@@ -20,42 +20,34 @@ CacheSim::CacheSim(const CacheConfig& config, PmemDevice* device,
   if (num_sets_ == 0) {
     num_sets_ = 1;
   }
-  ways_.resize(num_sets_ * config_.ways);
+  tags_.resize(num_sets_ * config_.ways);
+  lines_.resize(num_sets_ * config_.ways);
   set_tick_.assign(num_sets_, 0);
   locked_.resize(config_.locked_size / kCacheLineSize);
   shard_mu_ = std::make_unique<std::mutex[]>(kNumShards);
   locked_mu_ = std::make_unique<std::mutex[]>(kNumShards);
 }
 
-CacheSim::Way* CacheSim::EvictFor(size_t set, uint64_t line_addr) {
-  Way* base = &ways_[set * config_.ways];
-  Way* victim = nullptr;
+int CacheSim::Probe(size_t set, uint64_t line_addr, int* victim) const {
+  const Tag* tags = TagsOf(set);
+  int invalid = -1;
+  int lru = -1;
   for (int i = 0; i < config_.ways; i++) {
-    Way& w = base[i];
-    if (!w.valid) {
-      victim = &w;
-      break;
-    }
-    if (victim == nullptr || w.lru < victim->lru) {
-      victim = &w;
-    }
-  }
-  if (victim->valid) {
-    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-    if (victim->dirty) {
-      stats_.dirty_evictions.fetch_add(1, std::memory_order_relaxed);
-      device_->ReceiveLine(victim->addr, victim->data);
+    const Tag& t = tags[i];
+    if (t.valid) {
+      if (t.addr == line_addr) return i;
+      if (lru < 0 || t.lru < tags[lru].lru) lru = i;
+    } else if (invalid < 0) {
+      invalid = i;
     }
   }
-  victim->addr = line_addr;
-  victim->valid = true;
-  victim->dirty = false;
-  return victim;
+  if (victim != nullptr) *victim = invalid >= 0 ? invalid : lru;
+  return -1;
 }
 
 template <typename Fn>
-void CacheSim::WithLine(uint64_t line_addr, bool fill_on_miss,
-                        bool is_store, Fn&& fn) {
+void CacheSim::WithLine(uint64_t line_addr, bool fill_on_miss, Tally* tally,
+                        Fn&& fn) {
   const uint64_t locked_base = locked_window_base();
   if (config_.locked_size > 0 && line_addr >= locked_base &&
       line_addr < locked_base + config_.locked_size) {
@@ -79,65 +71,80 @@ void CacheSim::WithLine(uint64_t line_addr, bool fill_on_miss,
       l.addr = line_addr;
       l.valid = true;
       l.dirty = false;
-      if (is_store) {
-        stats_.store_misses.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        stats_.load_misses.fetch_add(1, std::memory_order_relaxed);
-        if (latency_ != nullptr) latency_->ChargeCacheMissLoad();
-      }
+      tally->misses++;
     } else {
-      if (is_store) {
-        stats_.store_hits.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        stats_.load_hits.fetch_add(1, std::memory_order_relaxed);
-      }
+      tally->hits++;
     }
     fn(l.data, &l.dirty);
     return;
   }
 
+  PrefetchSet(line_addr);
   size_t set = SetOf(line_addr);
   std::lock_guard<std::mutex> lock(SetMutex(set));
-  Way* base = &ways_[set * config_.ways];
-  Way* way = nullptr;
-  for (int i = 0; i < config_.ways; i++) {
-    if (base[i].valid && base[i].addr == line_addr) {
-      way = &base[i];
-      break;
-    }
-  }
-  if (way != nullptr) {
-    if (is_store) {
-      stats_.store_hits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      stats_.load_hits.fetch_add(1, std::memory_order_relaxed);
-    }
+  int victim = -1;
+  int w = Probe(set, line_addr, &victim);
+  Tag* tags = TagsOf(set);
+  if (w >= 0) {
+    tally->hits++;
   } else {
-    if (is_store) {
-      stats_.store_misses.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      stats_.load_misses.fetch_add(1, std::memory_order_relaxed);
-      if (latency_ != nullptr) latency_->ChargeCacheMissLoad();
+    tally->misses++;
+    w = victim;
+    Tag& t = tags[w];
+    if (t.valid) {
+      stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+      if (t.dirty) {
+        stats_.dirty_evictions.fetch_add(1, std::memory_order_relaxed);
+        device_->ReceiveLine(t.addr, DataOf(set, w));
+      }
     }
-    way = EvictFor(set, line_addr);
+    t.addr = line_addr;
+    t.valid = true;
+    t.dirty = false;
     if (fill_on_miss) {
-      device_->Read(line_addr, way->data, kCacheLineSize);
+      device_->Read(line_addr, DataOf(set, w), kCacheLineSize);
     }
   }
-  way->lru = ++set_tick_[set];
-  fn(way->data, &way->dirty);
+  tags[w].lru = ++set_tick_[set];
+  fn(DataOf(set, w), &tags[w].dirty);
+}
+
+void CacheSim::PrefetchSet(uint64_t line_addr) {
+  if (InLocked(line_addr)) return;
+  const size_t set = SetOf(line_addr);
+  const char* tags = reinterpret_cast<const char*>(TagsOf(set));
+  for (size_t b = 0; b < sizeof(Tag) * config_.ways; b += kCacheLineSize) {
+    __builtin_prefetch(tags + b, 1);
+  }
+  for (int i = 0; i < config_.ways; i++) {
+    __builtin_prefetch(DataOf(set, i), 1);
+  }
+}
+
+void CacheSim::Finish(bool is_store, const Tally& tally) {
+  std::atomic<uint64_t>& hits = is_store ? stats_.store_hits
+                                         : stats_.load_hits;
+  std::atomic<uint64_t>& misses = is_store ? stats_.store_misses
+                                           : stats_.load_misses;
+  if (tally.hits > 0) hits.fetch_add(tally.hits, std::memory_order_relaxed);
+  if (tally.misses == 0) return;
+  misses.fetch_add(tally.misses, std::memory_order_relaxed);
+  if (!is_store && latency_ != nullptr) {
+    latency_->ChargeCacheMissLoad(tally.misses);
+  }
 }
 
 void CacheSim::Store(uint64_t addr, const void* src, size_t len) {
   const char* in = static_cast<const char*>(src);
   uint64_t pos = addr;
   size_t remaining = len;
+  Tally tally;
   while (remaining > 0) {
     const uint64_t line = AlignDown(pos, kCacheLineSize);
     const size_t off = static_cast<size_t>(pos - line);
     const size_t chunk = std::min(remaining, kCacheLineSize - off);
     const bool full_line = (chunk == kCacheLineSize);
-    WithLine(line, /*fill_on_miss=*/!full_line, /*is_store=*/true,
+    WithLine(line, /*fill_on_miss=*/!full_line, &tally,
              [&](char* data, bool* dirty) {
                memcpy(data + off, in, chunk);
                *dirty = true;
@@ -146,30 +153,31 @@ void CacheSim::Store(uint64_t addr, const void* src, size_t len) {
     pos += chunk;
     remaining -= chunk;
   }
+  Finish(/*is_store=*/true, tally);
 }
 
 void CacheSim::Load(uint64_t addr, void* dst, size_t len) {
   char* out = static_cast<char*>(dst);
   uint64_t pos = addr;
   size_t remaining = len;
+  Tally tally;
   while (remaining > 0) {
     const uint64_t line = AlignDown(pos, kCacheLineSize);
     const size_t off = static_cast<size_t>(pos - line);
     const size_t chunk = std::min(remaining, kCacheLineSize - off);
-    WithLine(line, /*fill_on_miss=*/true, /*is_store=*/false,
+    WithLine(line, /*fill_on_miss=*/true, &tally,
              [&](char* data, bool*) { memcpy(out, data + off, chunk); });
     out += chunk;
     pos += chunk;
     remaining -= chunk;
   }
+  Finish(/*is_store=*/false, tally);
 }
 
 void CacheSim::Clwb(uint64_t addr, size_t len) {
   uint64_t first = AlignDown(addr, kCacheLineSize);
   uint64_t last = AlignDown(addr + (len == 0 ? 0 : len - 1), kCacheLineSize);
   for (uint64_t line = first; line <= last; line += kCacheLineSize) {
-    stats_.clwb_lines.fetch_add(1, std::memory_order_relaxed);
-    if (latency_ != nullptr) latency_->ChargeClwb();
     if (InLocked(line)) {
       size_t idx = static_cast<size_t>(
           ((line - locked_window_base()) / kCacheLineSize) %
@@ -184,58 +192,55 @@ void CacheSim::Clwb(uint64_t addr, size_t len) {
     }
     size_t set = SetOf(line);
     std::lock_guard<std::mutex> lock(SetMutex(set));
-    Way* base = &ways_[set * config_.ways];
-    for (int i = 0; i < config_.ways; i++) {
-      Way& w = base[i];
-      if (w.valid && w.addr == line) {
-        if (w.dirty) {
-          device_->ReceiveLine(line, w.data);
-          w.dirty = false;
-        }
-        break;
-      }
+    const int w = Probe(set, line);
+    if (w >= 0 && TagsOf(set)[w].dirty) {
+      device_->ReceiveLine(line, DataOf(set, w));
+      TagsOf(set)[w].dirty = false;
     }
   }
+  const uint64_t lines = (last - first) / kCacheLineSize + 1;
+  stats_.clwb_lines.fetch_add(lines, std::memory_order_relaxed);
+  if (latency_ != nullptr) latency_->ChargeClwb(lines);
+}
+
+void CacheSim::FlushNormalLine(uint64_t line_addr) {
+  size_t set = SetOf(line_addr);
+  std::lock_guard<std::mutex> lock(SetMutex(set));
+  const int w = Probe(set, line_addr);
+  if (w < 0) return;
+  Tag& t = TagsOf(set)[w];
+  if (t.dirty) {
+    device_->ReceiveLine(line_addr, DataOf(set, w));
+  }
+  t.valid = false;
+  t.dirty = false;
 }
 
 void CacheSim::Clflush(uint64_t addr, size_t len) {
   uint64_t first = AlignDown(addr, kCacheLineSize);
   uint64_t last = AlignDown(addr + (len == 0 ? 0 : len - 1), kCacheLineSize);
   for (uint64_t line = first; line <= last; line += kCacheLineSize) {
-    stats_.clwb_lines.fetch_add(1, std::memory_order_relaxed);
-    if (latency_ != nullptr) latency_->ChargeClwb();
-    if (InLocked(line)) {
-      // Per the paper's footnote: clflush evicts even CAT pseudo-locked
-      // lines.
-      size_t idx = static_cast<size_t>(
-          ((line - locked_window_base()) / kCacheLineSize) %
-          locked_.size());
-      std::lock_guard<std::mutex> lock(LockedMutex(idx));
-      LockedLine& l = locked_[idx];
-      if (l.valid && l.addr == line) {
-        if (l.dirty) {
-          device_->ReceiveLine(line, l.data);
-        }
-        l.valid = false;
-        l.dirty = false;
-      }
+    if (!InLocked(line)) {
+      FlushNormalLine(line);
       continue;
     }
-    size_t set = SetOf(line);
-    std::lock_guard<std::mutex> lock(SetMutex(set));
-    Way* base = &ways_[set * config_.ways];
-    for (int i = 0; i < config_.ways; i++) {
-      Way& w = base[i];
-      if (w.valid && w.addr == line) {
-        if (w.dirty) {
-          device_->ReceiveLine(line, w.data);
-        }
-        w.valid = false;
-        w.dirty = false;
-        break;
+    // Per the paper's footnote: clflush evicts even CAT pseudo-locked
+    // lines.
+    size_t idx = static_cast<size_t>(
+        ((line - locked_window_base()) / kCacheLineSize) % locked_.size());
+    std::lock_guard<std::mutex> lock(LockedMutex(idx));
+    LockedLine& l = locked_[idx];
+    if (l.valid && l.addr == line) {
+      if (l.dirty) {
+        device_->ReceiveLine(line, l.data);
       }
+      l.valid = false;
+      l.dirty = false;
     }
   }
+  const uint64_t lines = (last - first) / kCacheLineSize + 1;
+  stats_.clwb_lines.fetch_add(lines, std::memory_order_relaxed);
+  if (latency_ != nullptr) latency_->ChargeClwb(lines);
 }
 
 void CacheSim::Sfence() {
@@ -243,58 +248,73 @@ void CacheSim::Sfence() {
   if (latency_ != nullptr) latency_->ChargeSfence();
 }
 
+bool CacheSim::TakeCachedLine(uint64_t line_addr, char* out) {
+  if (InLocked(line_addr)) {
+    size_t idx = static_cast<size_t>(
+        ((line_addr - locked_window_base()) / kCacheLineSize) %
+        locked_.size());
+    std::lock_guard<std::mutex> lock(LockedMutex(idx));
+    LockedLine& l = locked_[idx];
+    if (!l.valid || l.addr != line_addr) return false;
+    memcpy(out, l.data, kCacheLineSize);
+    l.valid = false;
+    l.dirty = false;
+    return true;
+  }
+  size_t set = SetOf(line_addr);
+  std::lock_guard<std::mutex> lock(SetMutex(set));
+  const int w = Probe(set, line_addr);
+  if (w < 0) return false;
+  memcpy(out, DataOf(set, w), kCacheLineSize);
+  TagsOf(set)[w].valid = false;
+  TagsOf(set)[w].dirty = false;
+  return true;
+}
+
 void CacheSim::NtStore(uint64_t addr, const void* src, size_t len) {
   const char* in = static_cast<const char*>(src);
   uint64_t pos = addr;
   size_t remaining = len;
+  uint64_t lines = 0;
+  // Lines of the same XPLine are gathered in `group` and handed to the
+  // device together; group_addr is the first of group_lines lines.
+  char group[kXPLineSize];
+  uint64_t group_addr = 0;
+  int group_lines = 0;
+  auto send_group = [&] {
+    if (group_lines > 0) {
+      device_->ReceiveLines(group_addr, group, group_lines,
+                            /*non_temporal=*/true);
+    }
+    group_lines = 0;
+  };
   while (remaining > 0) {
     const uint64_t line = AlignDown(pos, kCacheLineSize);
     const size_t off = static_cast<size_t>(pos - line);
     const size_t chunk = std::min(remaining, kCacheLineSize - off);
-    char merged[kCacheLineSize];
-    bool have_base = false;
-
-    // Fold in (and invalidate) any cached copy so coherence is preserved.
-    if (InLocked(line)) {
-      size_t idx = static_cast<size_t>(
-          ((line - locked_window_base()) / kCacheLineSize) %
-          locked_.size());
-      std::lock_guard<std::mutex> lock(LockedMutex(idx));
-      LockedLine& l = locked_[idx];
-      if (l.valid && l.addr == line) {
-        memcpy(merged, l.data, kCacheLineSize);
-        have_base = true;
-        l.valid = false;
-        l.dirty = false;
-      }
-    } else {
-      size_t set = SetOf(line);
-      std::lock_guard<std::mutex> lock(SetMutex(set));
-      Way* base = &ways_[set * config_.ways];
-      for (int i = 0; i < config_.ways; i++) {
-        Way& w = base[i];
-        if (w.valid && w.addr == line) {
-          memcpy(merged, w.data, kCacheLineSize);
-          have_base = true;
-          w.valid = false;
-          w.dirty = false;
-          break;
-        }
-      }
+    // A partial line may have to read the device, which must see the
+    // lines before it first.
+    if (chunk < kCacheLineSize ||
+        AlignDown(line, kXPLineSize) != AlignDown(group_addr, kXPLineSize)) {
+      send_group();
     }
-    if (!have_base && chunk < kCacheLineSize) {
+    if (group_lines == 0) group_addr = line;
+    char* merged = group + group_lines * kCacheLineSize;
+    // Fold in (and invalidate) any cached copy so coherence is preserved.
+    if (!TakeCachedLine(line, merged) && chunk < kCacheLineSize) {
       device_->Read(line, merged, kCacheLineSize);
-      have_base = true;
     }
     memcpy(merged + off, in, chunk);
-    stats_.nt_lines.fetch_add(1, std::memory_order_relaxed);
-    if (latency_ != nullptr) latency_->ChargeNtStore(1);
-    device_->ReceiveLine(line, merged, /*non_temporal=*/true);
+    group_lines++;
+    lines++;
 
     in += chunk;
     pos += chunk;
     remaining -= chunk;
   }
+  send_group();
+  stats_.nt_lines.fetch_add(lines, std::memory_order_relaxed);
+  if (latency_ != nullptr) latency_->ChargeNtStore(lines);
 }
 
 uint64_t CacheSim::Load64(uint64_t addr) {
@@ -302,8 +322,10 @@ uint64_t CacheSim::Load64(uint64_t addr) {
   uint64_t value = 0;
   const uint64_t line = AlignDown(addr, kCacheLineSize);
   const size_t off = static_cast<size_t>(addr - line);
-  WithLine(line, /*fill_on_miss=*/true, /*is_store=*/false,
+  Tally tally;
+  WithLine(line, /*fill_on_miss=*/true, &tally,
            [&](char* data, bool*) { memcpy(&value, data + off, 8); });
+  Finish(/*is_store=*/false, tally);
   return value;
 }
 
@@ -311,11 +333,13 @@ void CacheSim::Store64(uint64_t addr, uint64_t value) {
   assert(IsAligned(addr, 8));
   const uint64_t line = AlignDown(addr, kCacheLineSize);
   const size_t off = static_cast<size_t>(addr - line);
-  WithLine(line, /*fill_on_miss=*/true, /*is_store=*/true,
+  Tally tally;
+  WithLine(line, /*fill_on_miss=*/true, &tally,
            [&](char* data, bool* dirty) {
              memcpy(data + off, &value, 8);
              *dirty = true;
            });
+  Finish(/*is_store=*/true, tally);
 }
 
 bool CacheSim::CompareExchange64(uint64_t addr, uint64_t* expected,
@@ -324,7 +348,8 @@ bool CacheSim::CompareExchange64(uint64_t addr, uint64_t* expected,
   const uint64_t line = AlignDown(addr, kCacheLineSize);
   const size_t off = static_cast<size_t>(addr - line);
   bool success = false;
-  WithLine(line, /*fill_on_miss=*/true, /*is_store=*/true,
+  Tally tally;
+  WithLine(line, /*fill_on_miss=*/true, &tally,
            [&](char* data, bool* dirty) {
              uint64_t current;
              memcpy(&current, data + off, 8);
@@ -336,6 +361,7 @@ bool CacheSim::CompareExchange64(uint64_t addr, uint64_t* expected,
                *expected = current;
              }
            });
+  Finish(/*is_store=*/true, tally);
   return success;
 }
 
@@ -343,14 +369,14 @@ void CacheSim::Crash() {
   const bool eadr = (config_.domain == PersistDomain::kEadr);
   for (size_t set = 0; set < num_sets_; set++) {
     std::lock_guard<std::mutex> lock(SetMutex(set));
-    Way* base = &ways_[set * config_.ways];
+    Tag* tags = TagsOf(set);
     for (int i = 0; i < config_.ways; i++) {
-      Way& w = base[i];
-      if (w.valid && w.dirty && eadr) {
-        device_->ReceiveLine(w.addr, w.data);
+      Tag& t = tags[i];
+      if (t.valid && t.dirty && eadr) {
+        device_->ReceiveLine(t.addr, DataOf(set, i));
       }
-      w.valid = false;
-      w.dirty = false;
+      t.valid = false;
+      t.dirty = false;
     }
     set_tick_[set] = 0;
   }
@@ -369,12 +395,12 @@ void CacheSim::Crash() {
 void CacheSim::WritebackAll() {
   for (size_t set = 0; set < num_sets_; set++) {
     std::lock_guard<std::mutex> lock(SetMutex(set));
-    Way* base = &ways_[set * config_.ways];
+    Tag* tags = TagsOf(set);
     for (int i = 0; i < config_.ways; i++) {
-      Way& w = base[i];
-      if (w.valid && w.dirty) {
-        device_->ReceiveLine(w.addr, w.data);
-        w.dirty = false;
+      Tag& t = tags[i];
+      if (t.valid && t.dirty) {
+        device_->ReceiveLine(t.addr, DataOf(set, i));
+        t.dirty = false;
       }
     }
   }
@@ -413,20 +439,7 @@ void CacheSim::SetLockedWindow(uint64_t new_base) {
   // fills observe the freshest bytes.
   for (uint64_t line = new_base; line < new_base + config_.locked_size;
        line += kCacheLineSize) {
-    size_t set = SetOf(line);
-    std::lock_guard<std::mutex> lock(SetMutex(set));
-    Way* base = &ways_[set * config_.ways];
-    for (int i = 0; i < config_.ways; i++) {
-      Way& w = base[i];
-      if (w.valid && w.addr == line) {
-        if (w.dirty) {
-          device_->ReceiveLine(line, w.data);
-        }
-        w.valid = false;
-        w.dirty = false;
-        break;
-      }
-    }
+    FlushNormalLine(line);
   }
   locked_base_.store(new_base, std::memory_order_release);
 }

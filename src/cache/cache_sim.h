@@ -52,7 +52,7 @@ struct CacheConfig {
   /// LLC capacity available to simulated PMem traffic. The testbed in the
   /// paper has a 36 MB LLC per socket.
   uint64_t capacity = 36ull << 20;
-  /// Set associativity.
+  /// Set associativity. Values below 1 are treated as 1.
   int ways = 12;
   /// Intel CAT pseudo-locked address range [locked_base,
   /// locked_base+locked_size) in device space. Lines in this range live in
@@ -155,11 +155,18 @@ class CacheSim {
   uint64_t LockedResidentLines() const;
 
  private:
-  struct Way {
+  // Tag of one way of a set. Tags live in their own array, apart from the
+  // line data, so a set probe reads ways * 16 B instead of the ways * 80 B
+  // of tag-and-data ways.
+  struct Tag {
     uint64_t addr = 0;
     uint32_t lru = 0;
     bool valid = false;
     bool dirty = false;
+  };
+
+  // Aligned so that each simulated line occupies one host cacheline.
+  struct alignas(kCacheLineSize) Line {
     char data[kCacheLineSize];
   };
 
@@ -182,28 +189,65 @@ class CacheSim {
     return static_cast<size_t>((line_addr / kCacheLineSize) % num_sets_);
   }
 
+  Tag* TagsOf(size_t set) { return &tags_[set * config_.ways]; }
+  const Tag* TagsOf(size_t set) const { return &tags_[set * config_.ways]; }
+  char* DataOf(size_t set, int way) {
+    return lines_[set * config_.ways + way].data;
+  }
+
   std::mutex& SetMutex(size_t set) { return shard_mu_[set % kNumShards]; }
   std::mutex& LockedMutex(size_t idx) {
     return locked_mu_[idx % kNumShards];
   }
 
+  // Hits and misses of one Store/Load-style call, added to the stats
+  // once when the call ends.
+  struct Tally {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+  };
+
   // Runs fn(char* line_data, bool* dirty) with the line present in cache
   // and its lock held. fill_on_miss controls whether a miss reads the
   // device before fn runs (required unless fn overwrites all 64 bytes).
   template <typename Fn>
-  void WithLine(uint64_t line_addr, bool fill_on_miss, bool is_store,
+  void WithLine(uint64_t line_addr, bool fill_on_miss, Tally* tally,
                 Fn&& fn);
 
-  // Picks a victim way in the set (caller holds the set lock); writes back
-  // if dirty. Returns the way to (re)fill.
-  Way* EvictFor(size_t set, uint64_t line_addr);
+  // Starts the host-cache fill of every tag and line of the set caching
+  // line_addr (normal partition only), before its lock is taken. Without
+  // it a miss would wait for the tags and only then for the victim's
+  // line, one host-memory latency after the other. Measured with GCC 12
+  // -O3: the same prefetches placed after the caller's SetOf, without
+  // this function's own partition check, bought nothing (a missed
+  // 16 KiB Load took 62-73 us instead of 40 us).
+  void PrefetchSet(uint64_t line_addr);
+
+  // Adds a call's tally to the store or load stats. A load's cache-miss
+  // latency is charged here, once per call.
+  void Finish(bool is_store, const Tally& tally);
+
+  // Index of the way of `set` caching line_addr, or -1. On a miss,
+  // *victim (if given) receives the way to fill: the first invalid way,
+  // else the least recently used one. Caller holds the set lock.
+  int Probe(size_t set, uint64_t line_addr, int* victim = nullptr) const;
+
+  // Drops the normal-partition copy of line_addr, if any, writing it back
+  // first when dirty.
+  void FlushNormalLine(uint64_t line_addr);
+
+  // Drops the cached copy of line_addr from either partition without a
+  // writeback; copies its bytes to `out` and returns true if there was
+  // one.
+  bool TakeCachedLine(uint64_t line_addr, char* out);
 
   CacheConfig config_;
   PmemDevice* device_;
   LatencyModel* latency_;
   std::atomic<uint64_t> locked_base_{0};
   size_t num_sets_;
-  std::vector<Way> ways_;           // num_sets_ * config_.ways entries
+  std::vector<Tag> tags_;           // num_sets_ * config_.ways entries
+  std::vector<Line> lines_;         // data of tags_[i] in lines_[i]
   std::vector<uint32_t> set_tick_;  // per-set LRU clock
   std::vector<LockedLine> locked_;  // locked_size / 64 entries
   std::unique_ptr<std::mutex[]> shard_mu_;

@@ -1366,6 +1366,8 @@ obs::MetricsSnapshot DB::GetMetricsSnapshot() {
   metrics_.GetGauge("pmem.write_amplification")
       ->Set(pc.WriteAmplification());
   metrics_.GetGauge("pmem.write_hit_ratio")->Set(pc.WriteHitRatio());
+  metrics_.GetGauge("pmem.injected_ns")
+      ->Set(static_cast<double>(env_->latency()->total_injected_ns()));
   const CacheStats& cs = env_->cache()->stats();
   metrics_.GetGauge("cache.clwb_lines")
       ->Set(static_cast<double>(cs.clwb_lines.load()));

@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,10 +14,12 @@ namespace cachekv {
 PmemDevice::PmemDevice(const PmemConfig& config, LatencyModel* latency)
     : config_(config), latency_(latency) {
   // Tolerate loosely specified configurations instead of asserting:
-  // round the capacity down to whole XPLines, require one DIMM minimum.
+  // round the capacity down to whole XPLines, require one DIMM and one
+  // XPBuffer slot minimum.
   config_.capacity = AlignDown(config_.capacity, kXPLineSize);
   if (config_.capacity < kXPLineSize) config_.capacity = kXPLineSize;
   if (config_.num_dimms < 1) config_.num_dimms = 1;
+  if (config_.xpbuffer_slots < 1) config_.xpbuffer_slots = 1;
   // Anonymous mapping: pages are committed lazily, so a large simulated
   // capacity does not consume physical memory until touched.
   void* p = mmap(nullptr, config_.capacity, PROT_READ | PROT_WRITE,
@@ -31,15 +34,19 @@ PmemDevice::PmemDevice(const PmemConfig& config, LatencyModel* latency)
   media_ = static_cast<char*>(p);
   dimms_.reserve(config_.num_dimms);
   for (int i = 0; i < config_.num_dimms; i++) {
-    dimms_.push_back(std::make_unique<Dimm>());
+    auto dimm = std::make_unique<Dimm>();
+    dimm->xpline_addrs =
+        std::make_unique<uint64_t[]>(config_.xpbuffer_slots);
+    dimm->slots = std::make_unique<Slot[]>(config_.xpbuffer_slots);
+    dimms_.push_back(std::move(dimm));
   }
 }
 
 PmemDevice::~PmemDevice() { munmap(media_, config_.capacity); }
 
-void PmemDevice::WritebackSlot(const Slot& slot) {
+void PmemDevice::WritebackSlot(uint64_t xpline, const Slot& slot) {
   const uint8_t kFullMask = (1u << kLinesPerXPLine) - 1;
-  char merged[kXPLineSize];
+  char* media = media_ + xpline;
   if (slot.dirty_mask != kFullMask) {
     // Partially dirty XPLine: the DIMM must read the 256 B media line,
     // merge the dirty cachelines, and write the whole line back. This is
@@ -48,87 +55,104 @@ void PmemDevice::WritebackSlot(const Slot& slot) {
     counters_.media_bytes_read.fetch_add(kXPLineSize,
                                          std::memory_order_relaxed);
     if (latency_ != nullptr) latency_->ChargeMediaRead(1);
-    memcpy(merged, media_ + slot.xpline_addr, kXPLineSize);
     for (int i = 0; i < kLinesPerXPLine; i++) {
       if (slot.dirty_mask & (1u << i)) {
-        memcpy(merged + i * kCacheLineSize,
-               slot.data + i * kCacheLineSize, kCacheLineSize);
+        memcpy(media + i * kCacheLineSize, slot.data + i * kCacheLineSize,
+               kCacheLineSize);
       }
     }
   } else {
     counters_.full_line_writebacks.fetch_add(1, std::memory_order_relaxed);
-    memcpy(merged, slot.data, kXPLineSize);
+    memcpy(media, slot.data, kXPLineSize);
   }
-  memcpy(media_ + slot.xpline_addr, merged, kXPLineSize);
   counters_.media_bytes_written.fetch_add(kXPLineSize,
                                           std::memory_order_relaxed);
   if (latency_ != nullptr) latency_->ChargeMediaWrite(1);
 }
 
-void PmemDevice::ReceiveLine(uint64_t addr, const char* data,
-                             bool non_temporal) {
-  if (!IsAligned(addr, kCacheLineSize) ||
-      addr + kCacheLineSize > config_.capacity) {
-    // Never write out of bounds: drop the line and count it. The data
-    // loss is detectable (CRCs, recovery plausibility checks); an OOB
-    // memcpy would not be.
+int PmemDevice::OpenSlot(Dimm& dimm, uint64_t xpline) {
+  int s = dimm.open;
+  if (s < config_.xpbuffer_slots) {
+    dimm.open++;
+  } else {
+    // Evict the least recently used slot to media.
+    s = 0;
+    for (int i = 1; i < dimm.open; i++) {
+      if (dimm.slots[i].stamp < dimm.slots[s].stamp) s = i;
+    }
+    WritebackSlot(dimm.xpline_addrs[s], dimm.slots[s]);
+  }
+  dimm.xpline_addrs[s] = xpline;
+  dimm.slots[s].dirty_mask = 0;
+  return s;
+}
+
+void PmemDevice::ReceiveLines(uint64_t addr, const char* data, int n,
+                              bool non_temporal) {
+  const uint64_t xpline = AlignDown(addr, kXPLineSize);
+  const int first = static_cast<int>((addr - xpline) / kCacheLineSize);
+  if (n < 1 || n > kLinesPerXPLine - first) {
+    // A group must be 1 to 4 lines of one XPLine; anything else is a
+    // caller bug, dropped and counted like an out-of-range line.
     counters_.oob_accesses.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  // Simulated media bit-rot: a fired "pmem.media.bitrot" point flips one
-  // seeded-random bit of the incoming line before it is buffered.
-  char rotted[kCacheLineSize];
-  if (fault::AnyActive()) {
-    fault::InjectResult inj = fault::Evaluate("pmem.media.bitrot");
-    if (inj.bitrot) {
-      memcpy(rotted, data, kCacheLineSize);
-      const size_t byte = static_cast<size_t>(inj.rand % kCacheLineSize);
-      const int bit = static_cast<int>((inj.rand / kCacheLineSize) % 8);
-      rotted[byte] = static_cast<char>(rotted[byte] ^ (1u << bit));
-      data = rotted;
-    }
-  }
-  const uint64_t xpline = AlignDown(addr, kXPLineSize);
-  const int sub = static_cast<int>((addr - xpline) / kCacheLineSize);
-  Dimm& dimm = *dimms_[DimmOf(addr)];
-
-  counters_.lines_received.fetch_add(1, std::memory_order_relaxed);
-  counters_.bytes_received.fetch_add(kCacheLineSize,
-                                     std::memory_order_relaxed);
-  if (non_temporal) {
-    counters_.nt_lines_received.fetch_add(1, std::memory_order_relaxed);
-    counters_.nt_bytes_received.fetch_add(kCacheLineSize,
-                                          std::memory_order_relaxed);
-  }
-
-  std::lock_guard<std::mutex> lock(dimm.mu);
-  auto it = dimm.index.find(xpline);
-  if (it != dimm.index.end()) {
-    // Combining hit: the XPLine is already open in the buffer.
-    counters_.xpbuffer_hits.fetch_add(1, std::memory_order_relaxed);
-    Slot& slot = *it->second;
-    memcpy(slot.data + sub * kCacheLineSize, data, kCacheLineSize);
-    slot.dirty_mask |= (1u << sub);
-    // Move to MRU position.
-    dimm.slots.splice(dimm.slots.begin(), dimm.slots, it->second);
+  const uint64_t bytes = static_cast<uint64_t>(n) * kCacheLineSize;
+  if (!IsAligned(addr, kCacheLineSize) || addr + bytes > config_.capacity) {
+    // Never write out of bounds: drop the lines and count them. The data
+    // loss is detectable (CRCs, recovery plausibility checks); an OOB
+    // memcpy would not be. The capacity is whole XPLines, so the lines
+    // of one XPLine are all in range or all out.
+    counters_.oob_accesses.fetch_add(n, std::memory_order_relaxed);
     return;
   }
-
-  counters_.xpbuffer_misses.fetch_add(1, std::memory_order_relaxed);
-  if (static_cast<int>(dimm.slots.size()) >=
-      config_.xpbuffer_slots) {
-    // Evict the least recently used slot to media.
-    Slot& victim = dimm.slots.back();
-    WritebackSlot(victim);
-    dimm.index.erase(victim.xpline_addr);
-    dimm.slots.pop_back();
+  // Simulated media bit-rot: a fired "pmem.media.bitrot" point flips one
+  // seeded-random bit of an incoming line before it is buffered. The
+  // point is evaluated once per line, in address order.
+  char rotted[kXPLineSize];
+  if (fault::AnyActive()) {
+    for (int i = 0; i < n; i++) {
+      fault::InjectResult inj = fault::Evaluate("pmem.media.bitrot");
+      if (!inj.bitrot) continue;
+      if (data != rotted) {
+        memcpy(rotted, data, bytes);
+        data = rotted;
+      }
+      const size_t byte = static_cast<size_t>(inj.rand % kCacheLineSize);
+      const int bit = static_cast<int>((inj.rand / kCacheLineSize) % 8);
+      char& b = rotted[i * kCacheLineSize + byte];
+      b = static_cast<char>(b ^ (1u << bit));
+    }
   }
-  dimm.slots.emplace_front();
-  Slot& slot = dimm.slots.front();
-  slot.xpline_addr = xpline;
-  slot.dirty_mask = static_cast<uint8_t>(1u << sub);
-  memcpy(slot.data + sub * kCacheLineSize, data, kCacheLineSize);
-  dimm.index[xpline] = dimm.slots.begin();
+  Dimm& dimm = *dimms_[DimmOf(addr)];
+
+  counters_.lines_received.fetch_add(n, std::memory_order_relaxed);
+  counters_.bytes_received.fetch_add(bytes, std::memory_order_relaxed);
+  if (non_temporal) {
+    counters_.nt_lines_received.fetch_add(n, std::memory_order_relaxed);
+    counters_.nt_bytes_received.fetch_add(bytes, std::memory_order_relaxed);
+  }
+
+  // The first line either combines into an open XPLine or opens one; the
+  // lines after it always combine.
+  int hits = n - 1;
+  {
+    std::lock_guard<std::mutex> lock(dimm.mu);
+    int s = dimm.Find(xpline);
+    if (s >= 0) {
+      hits++;
+    } else {
+      s = OpenSlot(dimm, xpline);
+    }
+    Slot& slot = dimm.slots[s];
+    memcpy(slot.data + first * kCacheLineSize, data, bytes);
+    slot.dirty_mask |= static_cast<uint8_t>(((1u << n) - 1) << first);
+    slot.stamp = ++dimm.clock;
+  }
+  counters_.xpbuffer_hits.fetch_add(hits, std::memory_order_relaxed);
+  if (hits < n) {
+    counters_.xpbuffer_misses.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void PmemDevice::Read(uint64_t addr, void* dst, size_t len) {
@@ -154,19 +178,22 @@ void PmemDevice::Read(uint64_t addr, void* dst, size_t len) {
     Dimm& dimm = *dimms_[DimmOf(pos)];
     {
       std::lock_guard<std::mutex> lock(dimm.mu);
-      auto it = dimm.index.find(xpline);
-      if (it != dimm.index.end()) {
+      const int slot = dimm.Find(xpline);
+      if (slot >= 0) {
         // Serve fresher bytes from the XPBuffer where dirty, media
-        // elsewhere.
-        const Slot& slot = *it->second;
-        for (size_t i = 0; i < chunk; i++) {
-          const uint64_t o = line_off + i;
+        // elsewhere, one 64 B line at a time.
+        const Slot& buffered = dimm.slots[slot];
+        size_t done = 0;
+        while (done < chunk) {
+          const uint64_t o = line_off + done;
           const int sub = static_cast<int>(o / kCacheLineSize);
-          if (slot.dirty_mask & (1u << sub)) {
-            out[i] = slot.data[o];
-          } else {
-            out[i] = media_[xpline + o];
-          }
+          const size_t n = std::min<size_t>(
+              chunk - done, (sub + 1) * kCacheLineSize - o);
+          const char* src = (buffered.dirty_mask & (1u << sub))
+                                ? buffered.data + o
+                                : media_ + xpline + o;
+          memcpy(out + done, src, n);
+          done += n;
         }
       } else {
         memcpy(out, media_ + pos, chunk);
@@ -191,11 +218,10 @@ void PmemDevice::DrainAll() {
   for (auto& dimm_ptr : dimms_) {
     Dimm& dimm = *dimm_ptr;
     std::lock_guard<std::mutex> lock(dimm.mu);
-    for (Slot& slot : dimm.slots) {
-      WritebackSlot(slot);
+    for (int i = 0; i < dimm.open; i++) {
+      WritebackSlot(dimm.xpline_addrs[i], dimm.slots[i]);
     }
-    dimm.slots.clear();
-    dimm.index.clear();
+    dimm.open = 0;
   }
 }
 

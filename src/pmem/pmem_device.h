@@ -3,10 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/latency_model.h"
@@ -85,6 +83,7 @@ struct PmemConfig {
   uint64_t interleave_bytes = 4096;
   /// XPBuffer (write-combining buffer) slots per DIMM. Real Optane DIMMs
   /// have a ~16 KB buffer, i.e. ~64 XPLines; the default is conservative.
+  /// Values below 1 are treated as 1.
   int xpbuffer_slots = 16;
 };
 
@@ -114,7 +113,16 @@ class PmemDevice {
   /// `non_temporal` marks lines bypassing the cache hierarchy so the
   /// counters can attribute traffic to the streaming-store path.
   void ReceiveLine(uint64_t addr, const char* data,
-                   bool non_temporal = false);
+                   bool non_temporal = false) {
+    ReceiveLines(addr, data, 1, non_temporal);
+  }
+
+  /// Receives `n` consecutive 64 B lines starting at `addr`, all within
+  /// one XPLine (1 <= n <= 4), from the contiguous buffer `data`. The
+  /// effect on data, counters and the XPBuffer is that of n ReceiveLine
+  /// calls in address order; the lines are taken under one DIMM-lock hold.
+  void ReceiveLines(uint64_t addr, const char* data, int n,
+                    bool non_temporal);
 
   /// Reads `len` bytes at `addr` observing both media and any fresher
   /// bytes still staged in the XPBuffer.
@@ -138,16 +146,29 @@ class PmemDevice {
       static_cast<int>(kXPLineSize / kCacheLineSize);
 
   struct Slot {
-    uint64_t xpline_addr = 0;
+    uint64_t stamp = 0;      // LRU clock value of the last write
     uint8_t dirty_mask = 0;  // bit i covers bytes [i*64, (i+1)*64)
     char data[kXPLineSize];
   };
 
+  // The XPBuffer of one DIMM: a fixed array of xpbuffer_slots slots, of
+  // which [0, open) hold an XPLine. The XPLine addresses sit in their own
+  // array so that a lookup scans a few host cachelines. The victim of a
+  // full buffer is the slot with the oldest stamp, i.e. the least
+  // recently written one.
   struct Dimm {
     std::mutex mu;
-    // Open XPLine slots, most-recently-used at the front.
-    std::list<Slot> slots;
-    std::unordered_map<uint64_t, std::list<Slot>::iterator> index;
+    int open = 0;
+    uint64_t clock = 0;
+    std::unique_ptr<uint64_t[]> xpline_addrs;
+    std::unique_ptr<Slot[]> slots;
+
+    int Find(uint64_t xpline) const {
+      for (int i = 0; i < open; i++) {
+        if (xpline_addrs[i] == xpline) return i;
+      }
+      return -1;
+    }
   };
 
   int DimmOf(uint64_t addr) const {
@@ -157,7 +178,11 @@ class PmemDevice {
 
   // Writes a slot back to media, performing an RMW if partially dirty.
   // Caller holds the DIMM lock.
-  void WritebackSlot(const Slot& slot);
+  void WritebackSlot(uint64_t xpline, const Slot& slot);
+
+  // Returns a slot for `xpline`, writing back the least recently used one
+  // if the buffer is full. Caller holds the DIMM lock.
+  int OpenSlot(Dimm& dimm, uint64_t xpline);
 
   PmemConfig config_;
   LatencyModel* latency_;

@@ -3,6 +3,12 @@
 namespace cachekv {
 
 Status PmemEnv::ValidateOptions(const EnvOptions& options) {
+  if (options.xpbuffer_slots < 1) {
+    return Status::InvalidArgument("xpbuffer_slots must be at least 1");
+  }
+  if (options.llc_ways < 1) {
+    return Status::InvalidArgument("llc_ways must be at least 1");
+  }
   if (options.cat_locked_bytes > options.llc_capacity) {
     return Status::InvalidArgument(
         "cat_locked_bytes exceeds the LLC capacity");
@@ -21,8 +27,11 @@ Status PmemEnv::ValidateOptions(const EnvOptions& options) {
 }
 
 PmemEnv::PmemEnv(const EnvOptions& options) : options_(options) {
-  // Clamp inconsistent configurations instead of asserting: the CAT range
-  // cannot exceed the LLC it is carved from, and must leave PMem space.
+  // Clamp inconsistent configurations instead of asserting: the XPBuffer
+  // and every LLC set need at least one slot, the CAT range cannot
+  // exceed the LLC it is carved from, and must leave PMem space.
+  if (options_.xpbuffer_slots < 1) options_.xpbuffer_slots = 1;
+  if (options_.llc_ways < 1) options_.llc_ways = 1;
   if (options_.cat_locked_bytes > options_.llc_capacity) {
     options_.cat_locked_bytes = options_.llc_capacity;
   }

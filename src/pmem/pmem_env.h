@@ -54,8 +54,9 @@ class PmemEnv {
  public:
   explicit PmemEnv(const EnvOptions& options);
 
-  /// Checks platform-description invariants (CAT range within the LLC
-  /// and the PMem capacity, room for the metadata area and heap).
+  /// Checks platform-description invariants (at least one XPBuffer slot
+  /// and one LLC way, CAT range within the LLC and the PMem capacity,
+  /// room for the metadata area and heap).
   /// Callers that build an env from external configuration should check
   /// this first; the constructor itself clamps inconsistent values
   /// instead of asserting.

@@ -47,9 +47,11 @@ class LatencyModel {
   void ChargeMediaRead(uint64_t xplines) {
     Charge(xplines * costs_.media_read_xpline_ns);
   }
-  void ChargeClwb() { Charge(costs_.clwb_ns); }
+  void ChargeClwb(uint64_t lines) { Charge(lines * costs_.clwb_ns); }
   void ChargeSfence() { Charge(costs_.sfence_ns); }
-  void ChargeCacheMissLoad() { Charge(costs_.cache_miss_load_ns); }
+  void ChargeCacheMissLoad(uint64_t lines) {
+    Charge(lines * costs_.cache_miss_load_ns);
+  }
   void ChargeNtStore(uint64_t lines) {
     Charge(lines * costs_.nt_store_line_ns);
   }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -7,6 +9,8 @@
 
 #include "cache/cache_sim.h"
 #include "pmem/pmem_device.h"
+#include "pmem/pmem_env.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace cachekv {
@@ -330,6 +334,197 @@ TEST_F(CacheSimTest, ConcurrentDisjointStores) {
     cache_->Load(static_cast<uint64_t>(t) << 18, &out, 1);
     EXPECT_EQ('A' + t, out);
   }
+}
+
+// Golden substrate trace. A seeded, single-threaded mix of every cache
+// operation runs through one PmemEnv at latency scale 1: lengths from 1 B
+// to over 16 KiB, addresses inside and outside the CAT-locked window, and
+// a 1 MB LLC so that lines are evicted. Every counter, the total injected
+// device time, a digest of every loaded byte and a hash of the media are
+// compared with constants recorded from the line-at-a-time simulator
+// (one std::list XPBuffer per DIMM, one latency charge per line). A change
+// to how the simulator represents its state must reproduce all of them;
+// never edit the constants to make this test pass.
+TEST(CacheSimGoldenTest, SeededMixMatchesRecordedTrace) {
+  EnvOptions o;
+  o.pmem_capacity = 8ull << 20;
+  o.llc_capacity = 1ull << 20;
+  o.cat_locked_bytes = 64ull << 10;
+  o.latency.scale = 1;
+  PmemEnv env(o);
+  CacheSim* cache = env.cache();
+
+  constexpr uint64_t kSpace = 6ull << 20;
+  constexpr size_t kMaxLen = (16 << 10) + 1024;
+  std::vector<char> buf(kMaxLen);
+  Random rng(20230417);
+  uint64_t digest = 0;
+
+  auto pick_len = [&]() -> size_t {
+    switch (rng.Uniform(8)) {
+      case 0: return 1 + rng.Uniform(8);
+      case 1:
+      case 2: return 1 + rng.Uniform(kCacheLineSize);
+      case 3: return 65 + rng.Uniform(960);
+      case 4: return kXPLineSize * (1 + rng.Uniform(8));
+      case 5: return 1025 + rng.Uniform(3072);
+      case 6: return (16 << 10) + 1 + rng.Uniform(1023);
+      default: return 1 + rng.Uniform(16 << 10);
+    }
+  };
+  auto pick_addr = [&](size_t len) -> uint64_t {
+    // One access in four lands in or across the CAT-locked window.
+    uint64_t a = rng.OneIn(4) ? rng.Uniform(o.cat_locked_bytes + 8192)
+                              : rng.Uniform(kSpace);
+    switch (rng.Uniform(3)) {
+      case 0: a = AlignDown(a, kXPLineSize); break;
+      case 1: a = AlignDown(a, kCacheLineSize); break;
+      default: break;
+    }
+    return std::min<uint64_t>(a, kSpace - len);
+  };
+  auto fill = [&](size_t len, uint64_t seed) {
+    for (size_t i = 0; i < len; i++) {
+      buf[i] = static_cast<char>(seed + i * 31);
+    }
+  };
+
+  for (int op = 0; op < 3000; op++) {
+    const size_t len = pick_len();
+    const uint64_t addr = pick_addr(len);
+    const uint64_t word = AlignDown(addr, 8);
+    switch (rng.Uniform(16)) {
+      case 0: case 1: case 2: case 3:
+        fill(len, rng.Next64());
+        cache->Store(addr, buf.data(), len);
+        break;
+      case 4: case 5: case 6:
+        cache->Load(addr, buf.data(), len);
+        digest = Hash64(buf.data(), len, digest);
+        break;
+      case 7: case 8:
+        fill(len, rng.Next64());
+        cache->NtStore(addr, buf.data(), len);
+        break;
+      case 9:
+        cache->Clwb(addr, len);
+        break;
+      case 10:
+        cache->Clflush(addr, len);
+        break;
+      case 11:
+        cache->Sfence();
+        break;
+      case 12:
+        cache->Store64(word, rng.Next64());
+        break;
+      case 13: {
+        const uint64_t v = cache->Load64(word);
+        digest = Hash64(reinterpret_cast<const char*>(&v), 8, digest);
+        break;
+      }
+      case 14: {
+        uint64_t expected = rng.OneIn(2) ? cache->Load64(word) : op;
+        const bool swapped =
+            cache->CompareExchange64(word, &expected, rng.Next64());
+        expected ^= swapped ? 1 : 0;
+        digest = Hash64(reinterpret_cast<const char*>(&expected), 8, digest);
+        break;
+      }
+      default:
+        fill(len, rng.Next64());
+        cache->Store(addr, buf.data(), len);
+        cache->Clwb(addr, len);
+        cache->Sfence();
+        break;
+    }
+  }
+  cache->WritebackAll();
+
+  const CacheStats& cs = cache->stats();
+  const PmemCounters& pc = env.device()->counters();
+  EXPECT_EQ(9676u, cs.load_hits.load());
+  EXPECT_EQ(21988u, cs.load_misses.load());
+  EXPECT_EQ(14723u, cs.store_hits.load());
+  EXPECT_EQ(39674u, cs.store_misses.load());
+  EXPECT_EQ(37233u, cs.evictions.load());
+  EXPECT_EQ(20587u, cs.dirty_evictions.load());
+  EXPECT_EQ(32812u, cs.clwb_lines.load());
+  EXPECT_EQ(23487u, cs.nt_lines.load());
+  EXPECT_EQ(385u, cs.fences.load());
+  EXPECT_EQ(67750u, pc.lines_received.load());
+  EXPECT_EQ(4336000u, pc.bytes_received.load());
+  EXPECT_EQ(45969u, pc.xpbuffer_hits.load());
+  EXPECT_EQ(21781u, pc.xpbuffer_misses.load());
+  EXPECT_EQ(5575936u, pc.media_bytes_written.load());
+  EXPECT_EQ(8197376u, pc.media_bytes_read.load());
+  EXPECT_EQ(8864u, pc.rmw_count.load());
+  EXPECT_EQ(12917u, pc.full_line_writebacks.load());
+  EXPECT_EQ(23487u, pc.nt_lines_received.load());
+  EXPECT_EQ(1503168u, pc.nt_bytes_received.load());
+  EXPECT_EQ(0u, pc.oob_accesses.load());
+  EXPECT_EQ(17674475u, env.latency()->total_injected_ns());
+  EXPECT_EQ(14670179019053904670ull, digest);
+  EXPECT_EQ(13135184571351517050ull, Hash64(env.device()->raw_media(), o.pmem_capacity, 0));
+}
+
+// Four threads write interleaved 128 B chunks, so every XPLine holds
+// lines of two threads and every DIMM sees all four. Even rounds use
+// NtStore, odd rounds Store+Clwb; each thread then reads its own chunks
+// back. Every written line reaches the device exactly once: an NtStore
+// sends it, and a Store+Clwb sends it by the clwb or by an eviction in
+// between.
+TEST_F(CacheSimTest, ConcurrentNtStoreAndClwbOnSharedXPLines) {
+  MakeCache(256 << 10, 8, 0);
+  constexpr int kThreads = 4;
+  constexpr int kChunks = 512;  // per thread
+  constexpr int kRounds = 4;
+  constexpr size_t kChunk = 2 * kCacheLineSize;
+  auto chunk_addr = [](int t, int c) {
+    return static_cast<uint64_t>(c * kThreads + t) * kChunk;
+  };
+  auto pattern = [](int t, int c, int round, char* out) {
+    for (size_t i = 0; i < kChunk; i++) {
+      out[i] = static_cast<char>(t * 61 + c * 7 + round * 13 + i);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      char buf[kChunk];
+      for (int round = 0; round < kRounds; round++) {
+        for (int c = 0; c < kChunks; c++) {
+          pattern(t, c, round, buf);
+          if (round % 2 == 0) {
+            cache_->NtStore(chunk_addr(t, c), buf, kChunk);
+          } else {
+            cache_->Store(chunk_addr(t, c), buf, kChunk);
+            cache_->Clwb(chunk_addr(t, c), kChunk);
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  threads.clear();
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      char want[kChunk], got[kChunk];
+      for (int c = 0; c < kChunks; c++) {
+        pattern(t, c, kRounds - 1, want);
+        cache_->Load(chunk_addr(t, c), got, kChunk);
+        if (memcmp(want, got, kChunk) != 0) mismatches++;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(0, mismatches.load());
+  const uint64_t lines_sent = static_cast<uint64_t>(kThreads) * kChunks *
+                              kRounds * (kChunk / kCacheLineSize);
+  EXPECT_EQ(lines_sent, device_.counters().lines_received.load());
+  EXPECT_EQ(lines_sent / 2, device_.counters().nt_lines_received.load());
+  EXPECT_EQ(0u, device_.counters().oob_accesses.load());
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "obs/prom.h"
 #include "pmem/pmem_env.h"
 #include "report.h"
+#include "test_util.h"
 #include "util/histogram.h"
 #include "util/json.h"
 
@@ -300,6 +301,25 @@ CacheKVOptions SmallDb() {
   o.lsm.base_level_bytes = 8ull << 20;
   o.lsm.target_file_size = 1ull << 20;
   return o;
+}
+
+TEST(DbMetricsTest, InjectedDeviceTimeIsMirroredAsGauge) {
+  EnvOptions eo = TestEnv(4ull << 20);
+  eo.latency.scale = 1;
+  PmemEnv env(eo);
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(&env, SmallDb(), false, &db).ok());
+  std::string value(8 << 10, 'v');  // separated: appends to the value log
+  for (int i = 0; i < 50; i++) {
+    ASSERT_TRUE(db->Put(Cat("key", i), value).ok());
+  }
+  ASSERT_TRUE(db->WaitIdle().ok());
+  const uint64_t before = env.latency()->total_injected_ns();
+  MetricsSnapshot snap = db->GetMetricsSnapshot();
+  const uint64_t after = env.latency()->total_injected_ns();
+  EXPECT_GT(before, 0u);
+  EXPECT_GE(snap.GaugeValue("pmem.injected_ns"), static_cast<double>(before));
+  EXPECT_LE(snap.GaugeValue("pmem.injected_ns"), static_cast<double>(after));
 }
 
 TEST(DbMetricsTest, WorkloadPopulatesSpans) {

@@ -169,6 +169,93 @@ TEST_F(PmemDeviceTest, CountersReset) {
   EXPECT_DOUBLE_EQ(0.0, device_.counters().WriteHitRatio());
 }
 
+TEST_F(PmemDeviceTest, EvictsLeastRecentlyWrittenXPLine) {
+  // Four slots, all on DIMM 0: open A, B, C, D, then write A again, so B
+  // is the least recently written when E arrives.
+  const uint64_t a = 0, b = 256, c = 512, d = 768, e = 1024;
+  for (uint64_t x : {a, b, c, d, a}) WriteLine(x, 'o');
+  EXPECT_EQ(0u, device_.counters().media_bytes_written.load());
+  WriteLine(e, 'o');
+  EXPECT_EQ(kXPLineSize, device_.counters().media_bytes_written.load());
+  EXPECT_EQ('o', device_.raw_media()[b]);
+  EXPECT_EQ(0, device_.raw_media()[a]);
+  EXPECT_EQ(0, device_.raw_media()[c]);
+}
+
+// ReceiveLines(addr, data, n) must leave data, counters and the XPBuffer
+// exactly as n ReceiveLine calls do; a seeded mix of groups with
+// overflowing buffers checks this against a second device.
+TEST_F(PmemDeviceTest, ReceiveLinesMatchesLineByLine) {
+  PmemDevice lines(SmallConfig(), &latency_);
+  Random rng(41);
+  char buf[kXPLineSize];
+  char out_batched[kXPLineSize], out_single[kXPLineSize];
+  for (int op = 0; op < 20000; op++) {
+    const uint64_t xpline = rng.Uniform(64) * kXPLineSize;
+    const int first = static_cast<int>(rng.Uniform(4));
+    const int n = 1 + static_cast<int>(rng.Uniform(4 - first));
+    const bool nt = rng.OneIn(2);
+    for (size_t i = 0; i < sizeof(buf); i++) {
+      buf[i] = static_cast<char>(op + i);
+    }
+    const uint64_t addr = xpline + first * kCacheLineSize;
+    device_.ReceiveLines(addr, buf, n, nt);
+    for (int i = 0; i < n; i++) {
+      lines.ReceiveLine(addr + i * kCacheLineSize, buf + i * kCacheLineSize,
+                        nt);
+    }
+    if (rng.OneIn(8)) {
+      const uint64_t at = rng.Uniform(64 * kXPLineSize - 300);
+      device_.Read(at, out_batched, 300 - 44);
+      lines.Read(at, out_single, 300 - 44);
+      ASSERT_EQ(0, memcmp(out_batched, out_single, 300 - 44)) << op;
+    }
+  }
+  // Out-of-range groups are dropped and counted per line; a group that
+  // does not fit in one XPLine is dropped and counted once.
+  device_.ReceiveLines(device_.capacity(), buf, 3, false);
+  for (int i = 0; i < 3; i++) {
+    lines.ReceiveLine(lines.capacity() + i * kCacheLineSize, buf, false);
+  }
+  const uint64_t received = device_.counters().lines_received.load();
+  device_.ReceiveLines(2 * kCacheLineSize, buf, 3, false);
+  device_.ReceiveLines(0, buf, 0, false);
+  EXPECT_EQ(received, device_.counters().lines_received.load());
+  device_.DrainAll();
+  lines.DrainAll();
+  const PmemCounters& x = device_.counters();
+  const PmemCounters& y = lines.counters();
+  EXPECT_EQ(y.lines_received.load(), x.lines_received.load());
+  EXPECT_EQ(y.bytes_received.load(), x.bytes_received.load());
+  EXPECT_EQ(y.xpbuffer_hits.load(), x.xpbuffer_hits.load());
+  EXPECT_EQ(y.xpbuffer_misses.load(), x.xpbuffer_misses.load());
+  EXPECT_EQ(y.media_bytes_written.load(), x.media_bytes_written.load());
+  EXPECT_EQ(y.media_bytes_read.load(), x.media_bytes_read.load());
+  EXPECT_EQ(y.rmw_count.load(), x.rmw_count.load());
+  EXPECT_EQ(y.full_line_writebacks.load(), x.full_line_writebacks.load());
+  EXPECT_EQ(y.nt_lines_received.load(), x.nt_lines_received.load());
+  EXPECT_EQ(y.nt_bytes_received.load(), x.nt_bytes_received.load());
+  EXPECT_EQ(3u, y.oob_accesses.load());
+  EXPECT_EQ(5u, x.oob_accesses.load());
+  EXPECT_GT(x.rmw_count.load(), 0u);
+  EXPECT_EQ(0, memcmp(device_.raw_media(), lines.raw_media(),
+                      64 * kXPLineSize));
+}
+
+TEST(PmemDeviceConfigTest, ZeroXPBufferSlotsClampToOne) {
+  PmemConfig c = SmallConfig();
+  c.xpbuffer_slots = 0;
+  LatencyModel latency(LatencyCosts{.scale = 0});
+  PmemDevice device(c, &latency);
+  EXPECT_EQ(1, device.config().xpbuffer_slots);
+  char buf[kCacheLineSize];
+  memset(buf, 'q', sizeof(buf));
+  device.ReceiveLine(0, buf);
+  device.ReceiveLine(kXPLineSize, buf);  // same DIMM, evicts the first
+  EXPECT_EQ('q', device.raw_media()[0]);
+  EXPECT_EQ(1u, device.counters().rmw_count.load());
+}
+
 TEST(PmemAllocatorTest, AllocateAndFree) {
   PmemAllocator alloc(0, 1 << 20);
   uint64_t a, b;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
+#include <string>
 
 #include "pmem/meta_layout.h"
 #include "pmem/pmem_env.h"
@@ -89,7 +91,7 @@ TEST(LatencyModelTest, ScaleMultiplies) {
   costs.scale = 3.0;
   costs.clwb_ns = 50;
   LatencyModel model(costs);
-  model.ChargeClwb();
+  model.ChargeClwb(1);
   EXPECT_EQ(150u, model.total_injected_ns());
 }
 
@@ -115,6 +117,49 @@ TEST(PmemEnvTest, LatencyChargedOnDeviceTraffic) {
   ASSERT_TRUE(env.allocator()->Allocate(buf.size(), &region).ok());
   env.NtStore(region, buf.data(), buf.size());
   EXPECT_GT(env.latency()->total_injected_ns(), 10000u);
+}
+
+TEST(PmemEnvTest, ValidateOptionsRejectsEmptyXPBufferAndLlcSets) {
+  EnvOptions o;
+  EXPECT_TRUE(PmemEnv::ValidateOptions(o).ok());
+  o.xpbuffer_slots = 0;
+  EXPECT_TRUE(PmemEnv::ValidateOptions(o).IsInvalidArgument());
+  o.xpbuffer_slots = 16;
+  o.llc_ways = 0;
+  EXPECT_TRUE(PmemEnv::ValidateOptions(o).IsInvalidArgument());
+  o.llc_ways = -3;
+  EXPECT_TRUE(PmemEnv::ValidateOptions(o).IsInvalidArgument());
+}
+
+TEST(PmemEnvTest, ZeroXPBufferSlotsAndLlcWaysClampToOne) {
+  EnvOptions o;
+  o.pmem_capacity = 16ull << 20;
+  o.llc_capacity = 64ull << 10;
+  o.xpbuffer_slots = 0;
+  o.llc_ways = 0;
+  o.latency.scale = 0;
+  PmemEnv env(o);
+  EXPECT_EQ(1, env.options().xpbuffer_slots);
+  EXPECT_EQ(1, env.options().llc_ways);
+  EXPECT_EQ(1, env.device()->config().xpbuffer_slots);
+  EXPECT_EQ(1, env.cache()->config().ways);
+  // A direct-mapped LLC over a one-slot XPBuffer still round-trips data,
+  // through evictions and XPBuffer writebacks.
+  std::string data(4096, '\0');
+  for (size_t i = 0; i < data.size(); i++) {
+    data[i] = static_cast<char>('a' + i % 23);
+  }
+  for (uint64_t addr = 0; addr < (1ull << 20); addr += data.size()) {
+    env.Store(addr, data.data(), data.size());
+  }
+  std::string out(data.size(), '\0');
+  env.Load(0, out.data(), out.size());
+  EXPECT_EQ(data, out);
+  env.cache()->WritebackAll();
+  EXPECT_EQ(0, memcmp(env.device()->raw_media() + (512ull << 10),
+                      data.data(), data.size()));
+  EXPECT_GT(env.cache()->stats().dirty_evictions.load(), 0u);
+  EXPECT_GT(env.device()->counters().xpbuffer_misses.load(), 0u);
 }
 
 }  // namespace
