@@ -26,6 +26,14 @@ class KVStore {
     std::string value;
   };
 
+  /// A BatchOp borrowed for the length of one call: key and value point
+  /// into the caller's buffers.
+  struct OpView {
+    bool is_delete = false;
+    Slice key;
+    Slice value;
+  };
+
   /// Inserts or updates the entry for key.
   virtual Status Put(const Slice& key, const Slice& value) = 0;
 

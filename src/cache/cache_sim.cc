@@ -248,27 +248,32 @@ void CacheSim::Sfence() {
   if (latency_ != nullptr) latency_->ChargeSfence();
 }
 
-bool CacheSim::TakeCachedLine(uint64_t line_addr, char* out) {
+template <typename Fn>
+void CacheSim::TakeCachedLine(uint64_t line_addr, char* out, Fn&& fn) {
   if (InLocked(line_addr)) {
     size_t idx = static_cast<size_t>(
         ((line_addr - locked_window_base()) / kCacheLineSize) %
         locked_.size());
     std::lock_guard<std::mutex> lock(LockedMutex(idx));
     LockedLine& l = locked_[idx];
-    if (!l.valid || l.addr != line_addr) return false;
-    memcpy(out, l.data, kCacheLineSize);
-    l.valid = false;
-    l.dirty = false;
-    return true;
+    const bool cached = l.valid && l.addr == line_addr;
+    if (cached) {
+      memcpy(out, l.data, kCacheLineSize);
+      l.valid = false;
+      l.dirty = false;
+    }
+    fn(cached);
+    return;
   }
   size_t set = SetOf(line_addr);
   std::lock_guard<std::mutex> lock(SetMutex(set));
   const int w = Probe(set, line_addr);
-  if (w < 0) return false;
-  memcpy(out, DataOf(set, w), kCacheLineSize);
-  TagsOf(set)[w].valid = false;
-  TagsOf(set)[w].dirty = false;
-  return true;
+  if (w >= 0) {
+    memcpy(out, DataOf(set, w), kCacheLineSize);
+    TagsOf(set)[w].valid = false;
+    TagsOf(set)[w].dirty = false;
+  }
+  fn(w >= 0);
 }
 
 void CacheSim::NtStore(uint64_t addr, const void* src, size_t len) {
@@ -301,11 +306,19 @@ void CacheSim::NtStore(uint64_t addr, const void* src, size_t len) {
     if (group_lines == 0) group_addr = line;
     char* merged = group + group_lines * kCacheLineSize;
     // Fold in (and invalidate) any cached copy so coherence is preserved.
-    if (!TakeCachedLine(line, merged) && chunk < kCacheLineSize) {
-      device_->Read(line, merged, kCacheLineSize);
+    // A partial line keeps bytes that readers may be loading, so it is
+    // merged and sent under the line's lock: a concurrent miss cannot
+    // cache the old bytes in between.
+    TakeCachedLine(line, merged, [&](bool cached) {
+      if (chunk == kCacheLineSize) return;
+      if (!cached) device_->Read(line, merged, kCacheLineSize);
+      memcpy(merged + off, in, chunk);
+      device_->ReceiveLines(line, merged, 1, /*non_temporal=*/true);
+    });
+    if (chunk == kCacheLineSize) {
+      memcpy(merged, in, chunk);
+      group_lines++;
     }
-    memcpy(merged + off, in, chunk);
-    group_lines++;
     lines++;
 
     in += chunk;

@@ -111,6 +111,14 @@ class CacheSim {
   /// lines are invalidated (their bytes folded into the written line so no
   /// data is lost on partial-line edges) and full 64 B lines are sent
   /// straight to the device's XPBuffer.
+  ///
+  /// A partial line is merged and written under its lock, so a racing
+  /// load sees the old or the new bytes and caches what it saw. A full
+  /// line reaches the device after its lock is released: callers must
+  /// not load a line while it is being fully nt-stored, or the load may
+  /// cache the old bytes for good. (Each caller writes lines no reader
+  /// loads before a later publish or a recovery: flushed tables and
+  /// SSTables, vlog frames past the published tail, registry slots.)
   void NtStore(uint64_t addr, const void* src, size_t len);
 
   /// 8-byte atomic load from a naturally aligned address.
@@ -237,9 +245,10 @@ class CacheSim {
   void FlushNormalLine(uint64_t line_addr);
 
   // Drops the cached copy of line_addr from either partition without a
-  // writeback; copies its bytes to `out` and returns true if there was
-  // one.
-  bool TakeCachedLine(uint64_t line_addr, char* out);
+  // writeback, copying its bytes to `out`, then runs fn(bool cached)
+  // with the line's lock still held.
+  template <typename Fn>
+  void TakeCachedLine(uint64_t line_addr, char* out, Fn&& fn);
 
   CacheConfig config_;
   PmemDevice* device_;

@@ -1,7 +1,6 @@
 #include "core/db.h"
 
 #include <algorithm>
-#include <array>
 #include <thread>
 
 #include "core/record_format.h"
@@ -19,6 +18,37 @@ namespace {
 /// a write's replication does so immediately after performing it, so
 /// the value can only describe that write.
 thread_local SequenceNumber tls_last_commit_seq = 0;
+
+/// Copy-based flush (§III-C): streams a table's header and records out
+/// of its pool slot into a fresh region with non-temporal stores
+/// ("modified memory copy"), so the write-back is large, sequential,
+/// and immune to the cacheline eviction policy. Fills *ft for the zone
+/// and re-points `index` at the copy.
+Status CopyOut(PmemEnv* env, const SubMemTable& table,
+               const SubMemTable::Header& h,
+               std::shared_ptr<SubSkiplist> index, FlushedTable* ft) {
+  const uint64_t copy_len = SubMemTable::kDataOffset + h.tail;
+  ft->region_size = AlignUp(copy_len, kXPLineSize);
+  Status s = env->allocator()->Allocate(ft->region_size, &ft->region_offset);
+  if (!s.ok()) {
+    return s;
+  }
+  char buf[4096];
+  for (uint64_t off = 0; off < copy_len; off += sizeof(buf)) {
+    const size_t chunk = static_cast<size_t>(
+        std::min<uint64_t>(sizeof(buf), copy_len - off));
+    env->Load(table.slot_offset() + off, buf, chunk);
+    env->NtStore(ft->region_offset + off, buf, chunk);
+  }
+  env->Sfence();
+  index->SetDataBase(ft->region_offset + SubMemTable::kDataOffset);
+  ft->data_tail = h.tail;
+  ft->entry_count = h.counter;
+  ft->max_sequence = index->max_sequence();
+  ft->data_crc = FlushedZone::ComputeDataCrc(env, ft->region_offset, h.tail);
+  ft->index = std::move(index);
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -141,30 +171,11 @@ Status DB::Open(PmemEnv* env, const CacheKVOptions& options, bool recover,
       }
       // Copy the recovered table into the sub-ImmMemTable area so the
       // pool slot can be reused.
-      const uint64_t copy_len = SubMemTable::kDataOffset + h.tail;
-      const uint64_t region_size = AlignUp(copy_len, kXPLineSize);
-      uint64_t region = 0;
-      rs = env->allocator()->Allocate(region_size, &region);
+      FlushedTable ft;
+      rs = CopyOut(env, table, h, std::move(index), &ft);
       if (!rs.ok()) {
         return rs;
       }
-      char buf[4096];
-      for (uint64_t off = 0; off < copy_len; off += sizeof(buf)) {
-        const size_t chunk = static_cast<size_t>(
-            std::min<uint64_t>(sizeof(buf), copy_len - off));
-        env->Load(table.slot_offset() + off, buf, chunk);
-        env->NtStore(region + off, buf, chunk);
-      }
-      env->Sfence();
-      index->SetDataBase(region + SubMemTable::kDataOffset);
-      FlushedTable ft;
-      ft.region_offset = region;
-      ft.region_size = region_size;
-      ft.data_tail = h.tail;
-      ft.entry_count = h.counter;
-      ft.max_sequence = index->max_sequence();
-      ft.data_crc = FlushedZone::ComputeDataCrc(env, region, h.tail);
-      ft.index = std::move(index);
       return d->zone_->AddTable(std::move(ft));
     });
     if (!s.ok()) {
@@ -190,15 +201,9 @@ Status DB::Open(PmemEnv* env, const CacheKVOptions& options, bool recover,
   for (int i = 0; i < options.num_index_threads; i++) {
     d->index_threads_.emplace_back(&DB::IndexThread, d.get());
   }
-  DB* raw = d.get();
   d->vlog_gc_ = std::make_unique<VlogGc>(
       d->vlog_.get(), &d->metrics_,
-      [raw](SequenceNumber seq, const Slice& key,
-            const ValuePointer& old_ptr, const Slice& value,
-            bool* relocated, bool* snapshot_pinned) {
-        return raw->RelocateForGc(seq, key, old_ptr, value, relocated,
-                                  snapshot_pinned);
-      },
+      std::bind_front(&DB::RelocateForGc, d.get()),
       options.vlog_gc_dead_ratio, options.vlog_gc_interval_ms);
   d->vlog_gc_->Start();
   *db = std::move(d);
@@ -334,88 +339,97 @@ Status DB::SealAndReplace(int core,
   return AcquireFor(core);
 }
 
-Status DB::WriteToCore(int core, SequenceNumber seq, ValueType type,
-                       const Slice& key, const Slice& value) {
-  // The per-slot mutex stands in for per-core exclusivity: uncontended
-  // when each thread owns a slot, correct when threads share one.
+/// A core's lock and the block of sequence numbers its holder reserves
+/// under it. Reserve() stores a lower bound in the core's in-flight slot
+/// before the fetch_add and tightens it to the block's first sequence
+/// right after, so no waiter below the block waits on it; destruction
+/// clears the slot, so the block is settled on every exit, published or
+/// abandoned.
+class DB::Reservation {
+ public:
+  Reservation(DB* db, int core)
+      : db_(db),
+        core_(&db->cores_[core % kMaxCoreLocks]),
+        lock_(core_->mu) {}
+  ~Reservation() { core_->inflight.store(0, std::memory_order_release); }
+
+  /// Reserves `n` sequences; returns the first.
+  SequenceNumber Reserve(size_t n) {
+    core_->inflight.store(db_->sequence_.load() + 1);
+    const SequenceNumber first = db_->sequence_.fetch_add(n) + 1;
+    core_->inflight.store(first);
+    return first;
+  }
+
+ private:
+  DB* const db_;
+  CoreLock* const core_;
+  std::lock_guard<std::mutex> lock_;
+};
+
+SequenceNumber DB::VisibleSequence() const {
+  // The last sequence is read before the slots: a writer whose
+  // fetch_add it saw stored its slot earlier, so the scan sees that
+  // slot (or the writer already settled).
+  SequenceNumber visible = sequence_.load();
+  const int n = std::clamp(options_.num_cores, 1, kMaxCoreLocks);
+  for (int i = 0; i < n; i++) {
+    const SequenceNumber first = cores_[i].inflight.load();
+    if (first != 0 && first - 1 < visible) {
+      visible = first - 1;
+    }
+  }
+  return visible;
+}
+
+void DB::WaitVisible(SequenceNumber seq) const {
+  for (int spins = 0; VisibleSequence() < seq; spins++) {
+    if (spins < 64) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+}
+
+Status DB::MakeRoom(int core, uint64_t bytes) {
   for (int attempt = 0; attempt < 16; attempt++) {
     std::shared_ptr<ActiveTable> t = metadata_[core];
-    if (t == nullptr) {
-      Status s = AcquireFor(core);
-      if (!s.ok()) {
-        return s;
-      }
-      t = metadata_[core];
+    if (t != nullptr && t->table.ReadRemainingSpace() >= bytes) {
+      return Status::OK();
     }
-    Status s;
-    {
-      OBS_SPAN(&metrics_, "put.append");
-      s = t->table.Append(seq, type, key, value);
-    }
-    if (s.ok()) {
-      if (!options_.lazy_index_update) {
-        // PCSM mode: diligently update the sub-skiplist on every write.
-        OBS_SPAN(&metrics_, "put.index_sync");
-        return t->index->SyncWithTable(t->table);
-      }
-      uint64_t pending =
-          t->writes_since_sync.fetch_add(1, std::memory_order_relaxed) +
-          1;
-      if (pending >= options_.sync_write_threshold) {
-        t->writes_since_sync.store(0, std::memory_order_relaxed);
-        ScheduleSync(t);
-      }
+    Status s = t == nullptr ? AcquireFor(core)
+                            : SealAndReplace(core, std::move(t));
+    if (!s.ok()) {
       return s;
     }
-    if (s.IsOutOfSpace()) {
-      s = SealAndReplace(core, std::move(t));
-      if (!s.ok()) {
-        return s;
-      }
-      continue;  // retry on the fresh table
-    }
+  }
+  return Status::OutOfSpace("write does not fit any available sub-memtable");
+}
+
+Status DB::AppendRecords(int core, const Slice& records, uint32_t count) {
+  ActiveTable* t = metadata_[core].get();
+  Status s;
+  {
+    OBS_SPAN(&metrics_, "put.append");
+    s = t->table.AppendEncoded(records, count);
+  }
+  if (!s.ok()) {
     return s;
   }
-  return Status::OutOfSpace(
-      "record does not fit any available sub-memtable");
-}
-
-SequenceNumber DB::AllocSeqBlock(size_t n) {
-  if (!commit_hook_) {
-    return sequence_.fetch_add(n, std::memory_order_acq_rel) + 1;
+  if (!options_.lazy_index_update) {
+    // PCSM mode: diligently update the sub-skiplist on every write.
+    OBS_SPAN(&metrics_, "put.index_sync");
+    return t->index->SyncWithTable(t->table);
   }
-  // Reservation and in-flight registration must be atomic: a later
-  // block registered before an earlier one would let the dispatcher
-  // release the later block's hook first.
-  std::lock_guard<std::mutex> lock(hook_mu_);
-  const SequenceNumber first =
-      sequence_.fetch_add(n, std::memory_order_acq_rel) + 1;
-  hook_inflight_.insert(first);
-  return first;
-}
-
-void DB::DispatchCommitHook(SequenceNumber first_seq,
-                            SequenceNumber last_seq,
-                            const std::vector<BatchOp>* ops) {
-  std::lock_guard<std::mutex> lock(hook_mu_);
-  hook_inflight_.erase(first_seq);
-  if (ops != nullptr) {
-    if (hook_pending_.empty() &&
-        (hook_inflight_.empty() || first_seq < *hook_inflight_.begin())) {
-      // Every earlier block has settled: fire in place, no copy.
-      commit_hook_(*ops, last_seq);
-    } else {
-      hook_pending_.emplace(first_seq, PendingHook{*ops, last_seq});
-    }
+  uint64_t pending =
+      t->writes_since_sync.fetch_add(count, std::memory_order_relaxed) +
+      count;
+  if (pending >= options_.sync_write_threshold) {
+    t->writes_since_sync.store(0, std::memory_order_relaxed);
+    ScheduleSync(metadata_[core]);
   }
-  // Settle buffered successors this block (or this failure) unblocked.
-  while (!hook_pending_.empty() &&
-         (hook_inflight_.empty() ||
-          hook_pending_.begin()->first < *hook_inflight_.begin())) {
-    PendingHook pending = std::move(hook_pending_.begin()->second);
-    hook_pending_.erase(hook_pending_.begin());
-    commit_hook_(pending.ops, pending.last_seq);
-  }
+  return s;
 }
 
 bool DB::ShouldSeparate(const Slice& key, const Slice& value) const {
@@ -424,7 +438,7 @@ bool DB::ShouldSeparate(const Slice& key, const Slice& value) const {
          vlog_->Fits(key.size(), value.size());
 }
 
-Status DB::Write(ValueType type, const Slice& key, const Slice& value) {
+Status DB::Commit(std::span<const OpView> ops) {
   OBS_SPAN(&metrics_, "put");
   // Background-error propagation: once a flush/index/compaction stage
   // failed hard, acknowledge no further writes.
@@ -434,65 +448,100 @@ Status DB::Write(ValueType type, const Slice& key, const Slice& value) {
   }
   // Key–value separation: a large value goes to the value log and the
   // memory component carries a 16-byte pointer (values too large for a
-  // vlog segment fall back to the inline path and the check below).
-  const bool separate = type == kTypeValue && ShouldSeparate(key, value);
-  if (MaxRecordSize(key.size(),
-                    separate ? kValuePointerSize : value.size()) >
+  // vlog segment stay inline and meet the size bound below).
+  auto separate = [this](const OpView& op) {
+    return !op.is_delete && ShouldSeparate(op.key, op.value);
+  };
+  size_t encoded_bound = 0;
+  for (const OpView& op : ops) {
+    // Records never start with a zero key length (record_format.h): an
+    // empty key would end every later sync of its table.
+    if (op.key.empty()) {
+      return Status::InvalidArgument("empty key");
+    }
+    encoded_bound += MaxRecordSize(
+        op.key.size(), separate(op) ? kValuePointerSize : op.value.size());
+  }
+  if (ops.empty()) {
+    return Status::OK();
+  }
+  if (encoded_bound >
       options_.sub_memtable_bytes - SubMemTable::kDataOffset) {
     return Status::InvalidArgument(
-        "record larger than a full-size sub-memtable");
+        "write larger than a full-size sub-memtable");
   }
-  puts_->Increment();
+  puts_->Increment(ops.size());
   const int core = CoreOf();
-  std::lock_guard<std::mutex> core_lock(core_mu_[core % kMaxCoreLocks]);
-  // The sequence is allocated while the core lock is held so the vlog
-  // GC's write fence (all core locks) can rely on: any writer not
-  // currently holding a core lock will sequence AFTER a fenced GC
-  // relocation, and any writer inside the fence has published.
-  const SequenceNumber seq = AllocSeqBlock(1);
-  Status s;
-  if (separate) {
-    // The value must be durable in the log before the pointer can
-    // commit: recovery replays the pointer only if the record frame
-    // checks out, so an acked key never dangles.
-    ValuePointer ptr;
-    s = vlog_->Append(seq, key, value, &ptr);
-    if (s.ok()) {
+  Reservation block(this, core);
+  // Room first: a write that waits here for a free pool slot holds no
+  // sequence yet, so no pin or hook waits on it.
+  Status s = MakeRoom(core, encoded_bound);
+  if (!s.ok()) {
+    return s;
+  }
+  const SequenceNumber first = block.Reserve(ops.size());
+  const SequenceNumber last_seq = first + ops.size() - 1;
+  // Vlog records of a write that then fails to commit are orphans:
+  // credited back as dead bytes so GC reclaims them.
+  std::vector<std::pair<ValuePointer, size_t>> appended;  // + key size
+  auto orphan = [&](Status s) {
+    for (const auto& [ptr, key_len] : appended) {
+      vlog_->AddDeadBytes(ptr, key_len);
+    }
+    return s;
+  };
+  std::string records;
+  records.reserve(encoded_bound);
+  SequenceNumber seq = first;
+  uint64_t bytes = 0;
+  for (const OpView& op : ops) {
+    bytes += op.key.size() + op.value.size();
+    if (separate(op)) {
+      // The value is durable in the log before the pointer commits:
+      // recovery replays a pointer only if its record frame checks out,
+      // so an acked key never dangles.
+      ValuePointer ptr;
+      Status vs = vlog_->Append(seq, op.key, op.value, &ptr);
+      if (!vs.ok()) {
+        return orphan(vs);
+      }
+      appended.emplace_back(ptr, op.key.size());
       std::string encoded_ptr;
       EncodeValuePointer(&encoded_ptr, ptr);
-      s = WriteToCore(core, seq, kTypeValuePointer, key,
-                      Slice(encoded_ptr));
-      if (s.ok()) {
-        separated_puts_->Increment();
-      } else {
-        // Orphaned log record (pointer never committed): it is dead
-        // weight until GC reclaims the segment.
-        vlog_->AddDeadBytes(ptr, key.size());
-      }
+      EncodeRecord(&records, seq++, kTypeValuePointer, op.key,
+                   Slice(encoded_ptr));
+    } else {
+      EncodeRecord(&records, seq++,
+                   op.is_delete ? kTypeDeletion : kTypeValue, op.key,
+                   op.value);
     }
-  } else {
-    s = WriteToCore(core, seq, type, key, value);
   }
-  if (s.ok()) {
-    tls_last_commit_seq = seq;
-    ingest_bytes_->fetch_add(key.size() + value.size());
+  s = AppendRecords(core, Slice(records), static_cast<uint32_t>(ops.size()));
+  if (!s.ok()) {
+    return orphan(s);
+  }
+  tls_last_commit_seq = last_seq;
+  ingest_bytes_->fetch_add(bytes);
+  if (!appended.empty()) {
+    separated_puts_->Increment(appended.size());
   }
   if (commit_hook_) {
-    if (s.ok()) {
-      std::vector<BatchOp> ops(1);
-      ops[0].is_delete = type == kTypeDeletion;
-      ops[0].key = key.ToString();
-      if (type != kTypeDeletion) ops[0].value = value.ToString();
-      DispatchCommitHook(seq, seq, &ops);
-    } else {
-      DispatchCommitHook(seq, seq, nullptr);
-    }
+    // Fire in sequence order: every earlier block has run its hook (or
+    // failed) once it is visible.
+    WaitVisible(first - 1);
+    commit_hook_(ops, last_seq);
   }
   return s;
 }
 
 Status DB::Put(const Slice& key, const Slice& value) {
-  return Write(kTypeValue, key, value);
+  const OpView op{false, key, value};
+  return Commit({&op, 1});
+}
+
+Status DB::Delete(const Slice& key) {
+  const OpView op{true, key, Slice()};
+  return Commit({&op, 1});
 }
 
 Status DB::ApplyBatch(const std::vector<BatchOp>& batch) {
@@ -500,147 +549,14 @@ Status DB::ApplyBatch(const std::vector<BatchOp>& batch) {
 }
 
 Status DB::MultiPut(const std::vector<BatchOp>& batch) {
-  OBS_SPAN(&metrics_, "put");
-  Status gate = bg_errors_.CheckWritable();
-  if (!gate.ok()) {
-    return gate;
-  }
-  if (batch.empty()) {
-    return Status::OK();
-  }
-  size_t encoded_bound = 0;
-  std::vector<uint8_t> separate(batch.size(), 0);
-  for (size_t i = 0; i < batch.size(); i++) {
-    const BatchOp& op = batch[i];
-    if (op.key.empty()) {
-      return Status::InvalidArgument("empty key in batch");
-    }
-    separate[i] = !op.is_delete &&
-                  ShouldSeparate(Slice(op.key), Slice(op.value));
-    encoded_bound += MaxRecordSize(
-        op.key.size(), separate[i] ? kValuePointerSize : op.value.size());
-  }
-  if (encoded_bound >
-      options_.sub_memtable_bytes - SubMemTable::kDataOffset) {
-    return Status::InvalidArgument(
-        "batch larger than a full-size sub-memtable");
-  }
-  puts_->Increment(batch.size());
   obs::TraceScope trace(&trace_, "multiput");
   trace.AddArg("keys", batch.size());
-  const int core = CoreOf();
-  std::lock_guard<std::mutex> core_lock(core_mu_[core % kMaxCoreLocks]);
-  // Reserve a contiguous sequence block for the transaction (under the
-  // core lock — see the GC write-fence comment in Write()).
-  const SequenceNumber first_seq = AllocSeqBlock(batch.size());
-  const SequenceNumber last_seq = first_seq + batch.size() - 1;
-  // Every exit below must settle the reserved block with the hook
-  // dispatcher — a block that never settles would stall the hooks of
-  // all later writes. `ops` stays null on the failure paths. Vlog
-  // records appended for a batch that then fails to commit are orphans:
-  // credit them back as dead bytes so GC reclaims them.
-  struct SettleBlock {
-    DB* db;
-    SequenceNumber first, last;
-    const std::vector<BatchOp>* ops = nullptr;
-    bool armed;
-    std::vector<std::pair<ValuePointer, size_t>> appended;  // + key size
-    bool committed = false;
-    ~SettleBlock() {
-      if (!committed) {
-        for (const auto& [ptr, key_len] : appended) {
-          db->vlog_->AddDeadBytes(ptr, key_len);
-        }
-      }
-      if (armed) db->DispatchCommitHook(first, last, ops);
-    }
-  } settle{this, first_seq, last_seq, nullptr,
-           commit_hook_ != nullptr, {}};
-  std::string records;
-  records.reserve(encoded_bound);
-  SequenceNumber seq = first_seq;
-  for (size_t i = 0; i < batch.size(); i++) {
-    const BatchOp& op = batch[i];
-    if (separate[i]) {
-      // Durable in the log before the batch's single-CAS publish.
-      ValuePointer ptr;
-      Status vs = vlog_->Append(seq, Slice(op.key), Slice(op.value), &ptr);
-      if (!vs.ok()) {
-        return vs;
-      }
-      settle.appended.emplace_back(ptr, op.key.size());
-      std::string encoded_ptr;
-      EncodeValuePointer(&encoded_ptr, ptr);
-      EncodeRecord(&records, seq++, kTypeValuePointer, Slice(op.key),
-                   Slice(encoded_ptr));
-    } else {
-      EncodeRecord(&records, seq++,
-                   op.is_delete ? kTypeDeletion : kTypeValue,
-                   Slice(op.key), Slice(op.value));
-    }
+  std::vector<OpView> ops;
+  ops.reserve(batch.size());
+  for (const BatchOp& op : batch) {
+    ops.push_back({op.is_delete, Slice(op.key), Slice(op.value)});
   }
-
-  auto mark_committed = [&] {
-    settle.committed = true;
-    settle.ops = &batch;
-    tls_last_commit_seq = last_seq;
-    uint64_t bytes = 0;
-    uint64_t separations = 0;
-    for (size_t i = 0; i < batch.size(); i++) {
-      bytes += batch[i].key.size() + batch[i].value.size();
-      separations += separate[i];
-    }
-    ingest_bytes_->fetch_add(bytes);
-    if (separations > 0) {
-      separated_puts_->Increment(separations);
-    }
-  };
-
-  for (int attempt = 0; attempt < 16; attempt++) {
-    std::shared_ptr<ActiveTable> t = metadata_[core];
-    if (t == nullptr) {
-      Status s = AcquireFor(core);
-      if (!s.ok()) {
-        return s;
-      }
-      t = metadata_[core];
-    }
-    Status s;
-    {
-      OBS_SPAN(&metrics_, "put.append");
-      s = t->table.AppendEncoded(Slice(records),
-                                 static_cast<uint32_t>(batch.size()));
-    }
-    if (s.ok()) {
-      if (!options_.lazy_index_update) {
-        OBS_SPAN(&metrics_, "put.index_sync");
-        Status sync = t->index->SyncWithTable(t->table);
-        if (sync.ok()) {
-          mark_committed();
-        }
-        return sync;
-      }
-      uint64_t pending = t->writes_since_sync.fetch_add(
-                             batch.size(), std::memory_order_relaxed) +
-                         batch.size();
-      if (pending >= options_.sync_write_threshold) {
-        t->writes_since_sync.store(0, std::memory_order_relaxed);
-        ScheduleSync(t);
-      }
-      mark_committed();
-      return s;
-    }
-    if (s.IsOutOfSpace()) {
-      s = SealAndReplace(core, std::move(t));
-      if (!s.ok()) {
-        return s;
-      }
-      continue;
-    }
-    return s;
-  }
-  return Status::OutOfSpace(
-      "batch does not fit any available sub-memtable");
+  return Commit(ops);
 }
 
 uint64_t DB::ApproxMultiPutCapacityBytes() const {
@@ -655,22 +571,21 @@ uint64_t DB::ApproxMultiPutCapacityBytes() const {
 }
 
 const DB::Snapshot* DB::GetSnapshot() {
-  // Global write fence (all core locks): no writer sits between its
-  // sequence allocation and its sub-memtable publish, so every sequence
-  // <= the pin is committed and the snapshot view is stable from the
-  // first read on.
-  std::array<std::unique_lock<std::mutex>, kMaxCoreLocks> fence;
-  for (int i = 0; i < kMaxCoreLocks; i++) {
-    fence[i] = std::unique_lock<std::mutex>(core_mu_[i]);
+  // The pin is LastSequence(), read under snapshots_mu_: flush and
+  // compaction capture the pins at pass start and rely on a later pin
+  // sequencing at or above every entry in the pass's inputs.
+  SequenceNumber seq;
+  {
+    std::lock_guard<std::mutex> lock(snapshots_mu_);
+    if (pinned_snapshots_.size() >= options_.max_pinned_snapshots) {
+      return nullptr;
+    }
+    seq = LastSequence();
+    pinned_snapshots_.insert(seq);
   }
-  std::lock_guard<std::mutex> lock(snapshots_mu_);
-  if (pinned_snapshots_.size() >= options_.max_pinned_snapshots) {
-    return nullptr;
-  }
-  const SequenceNumber seq = LastSequence();
-  pinned_snapshots_.insert(seq);
   snap_pins_->Increment();
   trace_.Instant("snapshot.pin", "seq", seq);
+  WaitVisible(seq);
   return new Snapshot(seq);
 }
 
@@ -707,8 +622,8 @@ Iterator* DB::NewScanIteratorAt(SequenceNumber snapshot) {
    public:
     ScanIterator(DB* db, SequenceNumber snapshot)
         : tables_lock_(db->tables_mu_),
-          zone_lock_(db->zone_->LockShared()),
-          vlog_pin_(db->vlog_->PinSegments()) {
+          vlog_pin_(db->vlog_->PinSegments()),
+          zone_lock_(db->zone_->LockShared()) {
       std::vector<Iterator*> children;
       for (const auto& t : db->live_tables_) {
         // Read trigger: scans need the same strict consistency as Gets.
@@ -764,9 +679,11 @@ Iterator* DB::NewScanIteratorAt(SequenceNumber snapshot) {
     }
 
    private:
+    // The vlog pin is taken before the zone lock: SnapshotTables() below
+    // takes the zone lock again, and no lock may come between the two.
     std::shared_lock<std::shared_mutex> tables_lock_;
-    std::shared_lock<std::shared_mutex> zone_lock_;
     std::shared_lock<std::shared_mutex> vlog_pin_;
+    std::shared_lock<std::shared_mutex> zone_lock_;
     std::vector<std::shared_ptr<ActiveTable>> pinned_;
     std::vector<FlushedTable> zone_tables_;
     std::unique_ptr<Iterator> impl_;
@@ -798,10 +715,6 @@ Status DB::ScanAt(const Slice& start, size_t limit,
   }
   trace.AddArg("rows", out->size());
   return it->status();
-}
-
-Status DB::Delete(const Slice& key) {
-  return Write(kTypeDeletion, key, Slice());
 }
 
 Status DB::SearchRaw(const Slice& key, RawResult* out,
@@ -987,85 +900,90 @@ Status DB::RelocateForGc(SequenceNumber record_seq, const Slice& key,
   if (!gate.ok()) {
     return gate;
   }
-  // Global write fence: with every core lock held, no write is between
-  // its AllocSeqBlock and its sub-memtable publish, so the SearchRaw
-  // probe below sees the latest committed version of `key` and no
-  // concurrent writer can commit an older-seq entry after we probe.
-  std::array<std::unique_lock<std::mutex>, kMaxCoreLocks> fence;
-  for (int i = 0; i < kMaxCoreLocks; i++) {
-    fence[i] = std::unique_lock<std::mutex>(core_mu_[i]);
+  // True when the freshest version of `key` at `bound` is old_ptr.
+  auto resolves_old = [&](SequenceNumber bound, bool* yes) {
+    RawResult r;
+    Status s = SearchRaw(key, &r, bound);
+    ValuePointer found;
+    *yes = s.ok() && r.found && r.type == kTypeValuePointer &&
+           DecodeValuePointer(Slice(r.value), &found) && found == old_ptr;
+    return s;
+  };
+  // The record's own write may still be in flight (its segment sealed
+  // under it): until it settles, the probe could miss its pointer and
+  // call the record dead. (The min guards the wait against a record
+  // sequenced past every reservation.)
+  WaitVisible(std::min(record_seq, LastSequence()));
+  bool live = false;
+  Status s = resolves_old(kMaxSequenceNumber, &live);
+  SequenceNumber seq = 0;
+  if (s.ok() && live) {
+    // Reserve `seq` and wait until every earlier sequence is visible:
+    // the re-probe then sees the latest version below `seq`, and any
+    // write that has yet to commit sequences above the relocation. A
+    // write that superseded the record meanwhile leaves `seq` a gap.
+    const int core = CoreOf();
+    Reservation block(this, core);
+    s = MakeRoom(core, MaxRecordSize(key.size(), kValuePointerSize));
+    if (s.ok()) {
+      seq = block.Reserve(1);
+      WaitVisible(seq - 1);
+      s = resolves_old(kMaxSequenceNumber, &live);
+    }
+    if (s.ok() && live) {
+      ValuePointer new_ptr;
+      s = vlog_->Append(seq, key, value, &new_ptr);
+      if (s.ok()) {
+        std::string encoded_ptr, record;
+        EncodeValuePointer(&encoded_ptr, new_ptr);
+        EncodeRecord(&record, seq, kTypeValuePointer, key,
+                     Slice(encoded_ptr));
+        s = AppendRecords(core, Slice(record), 1);
+        if (!s.ok()) {
+          vlog_->AddDeadBytes(new_ptr, key.size());  // orphaned copy
+        }
+      }
+      if (s.ok()) {
+        *relocated = true;
+        tls_last_commit_seq = seq;
+        if (commit_hook_) {
+          // Followers replay user-visible ops, so the hook carries the
+          // value itself: on the far side a same-bytes overwrite.
+          const OpView op{false, key, value};
+          commit_hook_({&op, 1}, seq);
+        }
+      }
+    }
   }
-  RawResult r;
-  Status s = SearchRaw(key, &r);
   if (!s.ok()) {
     return s;
   }
-  ValuePointer current;
-  const bool live_at_latest =
-      r.found && r.type == kTypeValuePointer &&
-      DecodeValuePointer(Slice(r.value), &current) && current == old_ptr;
-  if (!live_at_latest) {
-    // Dead at latest (superseded, deleted, or relocated already) — but a
-    // pinned snapshot may still resolve this exact pointer. Probe each
-    // pin at or above the record's sequence with a bounded search; a
-    // pointer-equal answer means the segment cannot be unlinked yet.
-    for (SequenceNumber pin : PinnedSnapshots()) {
-      if (pin < record_seq) {
-        continue;
-      }
-      RawResult pr;
-      Status ps = SearchRaw(key, &pr, pin);
-      if (!ps.ok()) {
-        return ps;
-      }
-      ValuePointer pinned_ptr;
-      if (pr.found && pr.type == kTypeValuePointer &&
-          DecodeValuePointer(Slice(pr.value), &pinned_ptr) &&
-          pinned_ptr == old_ptr) {
-        *snapshot_pinned = true;
-        break;
-      }
-    }
-    return Status::OK();
-  }
-  const SequenceNumber seq = AllocSeqBlock(1);
-  ValuePointer new_ptr;
-  s = vlog_->Append(seq, key, value, &new_ptr);
-  if (s.ok()) {
-    std::string encoded_ptr;
-    EncodeValuePointer(&encoded_ptr, new_ptr);
-    s = WriteToCore(0, seq, kTypeValuePointer, key, Slice(encoded_ptr));
-    if (!s.ok()) {
-      vlog_->AddDeadBytes(new_ptr, key.size());  // orphaned copy
-    }
-  }
-  std::vector<BatchOp> ops;
-  if (s.ok()) {
-    *relocated = true;
+  if (*relocated) {
     // Pins in [record_seq, seq) still resolve the OLD pointer (the
     // record was the freshest version of the key until this relocation
     // committed at `seq`): the victim segment must survive until they
-    // release. Pins created later sequence at or above `seq` — the
-    // write fence blocks GetSnapshot() — and see the new pointer.
-    {
-      std::lock_guard<std::mutex> snap_lock(snapshots_mu_);
-      auto it = pinned_snapshots_.lower_bound(record_seq);
-      if (it != pinned_snapshots_.end() && *it < seq) {
-        *snapshot_pinned = true;
-      }
+    // release. A pin taken from here on reads a LastSequence() >= seq
+    // and sees the new pointer.
+    std::lock_guard<std::mutex> snap_lock(snapshots_mu_);
+    auto it = pinned_snapshots_.lower_bound(record_seq);
+    *snapshot_pinned = it != pinned_snapshots_.end() && *it < seq;
+    return Status::OK();
+  }
+  // Dead at latest (superseded, deleted, or relocated already) — but a
+  // pinned snapshot may still resolve this exact pointer. Probe each pin
+  // at or above the record's sequence with a bounded search; a
+  // pointer-equal answer means the segment cannot be unlinked yet. A
+  // later pin sits above the superseding version and cannot.
+  for (SequenceNumber pin : PinnedSnapshots()) {
+    if (pin < record_seq) {
+      continue;
     }
-    tls_last_commit_seq = seq;
-    // Followers replay user-visible ops, so the hook carries the value
-    // itself — on the far side this is a benign same-bytes overwrite.
-    BatchOp op;
-    op.key = key.ToString();
-    op.value = value.ToString();
-    ops.push_back(std::move(op));
+    s = resolves_old(pin, snapshot_pinned);
+    if (!s.ok() || *snapshot_pinned) {
+      return s;
+    }
   }
-  if (commit_hook_) {
-    DispatchCommitHook(seq, seq, s.ok() ? &ops : nullptr);
-  }
-  return s;
+  return Status::OK();
 }
 
 void DB::ScheduleSync(const std::shared_ptr<ActiveTable>& table) {
@@ -1091,36 +1009,22 @@ Status DB::CopyFlushOne(std::shared_ptr<ActiveTable> sealed) {
     return Status::Corruption("flush of a table that is not sealed");
   }
 
-  // Copy-based flush (§III-C): stream the whole sub-ImmMemTable out of
-  // the persistent cache with non-temporal stores ("modified memory
-  // copy"), so the write-back is large, sequential, and immune to the
-  // cacheline eviction policy.
-  const uint64_t copy_len = SubMemTable::kDataOffset + h.tail;
-  const uint64_t region_size = AlignUp(copy_len, kXPLineSize);
-  uint64_t region = 0;
-  s = env_->allocator()->Allocate(region_size, &region);
+  FlushedTable ft;
+  s = CopyOut(env_, sealed->table, h, sealed->index, &ft);
   if (!s.ok()) {
     return s;
   }
-  char buf[4096];
-  for (uint64_t off = 0; off < copy_len; off += sizeof(buf)) {
-    const size_t chunk = static_cast<size_t>(
-        std::min<uint64_t>(sizeof(buf), copy_len - off));
-    env_->Load(sealed->table.slot_offset() + off, buf, chunk);
-    env_->NtStore(region + off, buf, chunk);
-  }
-  env_->Sfence();
+  const uint64_t copy_len = SubMemTable::kDataOffset + h.tail;
   copy_flushes_->Increment();
   metrics_.GetCounter("flush.copy_bytes")->fetch_add(copy_len);
   trace.AddArg("bytes", copy_len);
   trace.AddArg("keys", h.counter);
 
-  // Re-point the index at the copy, publish the table in the zone, then
-  // recycle the pool slot. Any failure between here and the zone publish
-  // must undo both steps — re-point the index back at the (identical)
-  // pool-slot bytes and free the staged region — so a retried flush
-  // starts from the same clean state.
-  sealed->index->SetDataBase(region + SubMemTable::kDataOffset);
+  // Publish the table in the zone, then recycle the pool slot. Any
+  // failure before the zone publish must undo the copy — re-point the
+  // index back at the (identical) pool-slot bytes and free the staged
+  // region — so a retried flush starts from the same clean state.
+  const uint64_t region = ft.region_offset, region_size = ft.region_size;
   auto unpublish = [&]() {
     sealed->index->SetDataBase(sealed->table.data_offset());
     env_->allocator()->Free(region, region_size);
@@ -1132,19 +1036,14 @@ Status DB::CopyFlushOne(std::shared_ptr<ActiveTable> sealed) {
       return inj;
     }
   }
-  FlushedTable ft;
-  ft.region_offset = region;
-  ft.region_size = region_size;
-  ft.data_tail = h.tail;
-  ft.entry_count = h.counter;
-  ft.max_sequence = sealed->index->max_sequence();
-  ft.data_crc = FlushedZone::ComputeDataCrc(env_, region, h.tail);
-  ft.index = sealed->index;
   s = zone_->AddTable(std::move(ft));
   if (!s.ok()) {
     unpublish();
     return s;
   }
+  // The index is final: a sync request still queued for this table
+  // must not read the recycled slot's next table against it.
+  sealed->index->Freeze();
   uint64_t seen = flushed_hwm_.load(std::memory_order_relaxed);
   uint64_t table_max = sealed->index->max_sequence();
   while (table_max > seen &&
@@ -1189,29 +1088,13 @@ void DB::FlushThread() {
     auto sealed = std::move(flush_queue_.front());
     flush_queue_.pop_front();
     flushes_in_flight_++;
-    // Retry loop: transient failures back off and re-run the flush
-    // (CopyFlushOne un-publishes on failure, so a retry is idempotent);
-    // hard failures or an exhausted budget flip the DB to read-only. The
-    // sealed table then stays in live_tables_, still serving reads from
-    // its pool slot.
-    int attempt = 0;
-    for (;;) {
-      lock.unlock();
-      Status s = CopyFlushOne(sealed);
-      lock.lock();
-      if (s.ok() || shutting_down_.load(std::memory_order_acquire)) {
-        break;
-      }
-      std::chrono::milliseconds backoff(0);
-      if (bg_errors_.OnError("flush.copy", s, attempt, &backoff) ==
-          BackgroundErrorManager::Decision::kFail) {
-        break;
-      }
-      attempt++;
-      flush_cv_.wait_for(lock, backoff, [this] {
-        return shutting_down_.load(std::memory_order_acquire);
-      });
-    }
+    lock.unlock();
+    // Transient failures back off and re-run the flush (CopyFlushOne
+    // un-publishes on failure, so a retry is idempotent); hard failures
+    // or an exhausted budget flip the DB to read-only. The sealed table
+    // then stays in live_tables_, still serving reads from its pool slot.
+    RetryStage("flush.copy", [&] { return CopyFlushOne(sealed); });
+    lock.lock();
     flushes_in_flight_--;
     flush_done_cv_.notify_all();
   }
@@ -1268,6 +1151,21 @@ Status DB::FlushZoneToL0() {
   return Status::OK();
 }
 
+void DB::RetryStage(const char* stage, const std::function<Status()>& run) {
+  for (int attempt = 0;; attempt++) {
+    Status s = run();
+    if (s.ok() || shutting_down_.load(std::memory_order_acquire)) {
+      return;
+    }
+    std::chrono::milliseconds backoff(0);
+    if (bg_errors_.OnError(stage, s, attempt, &backoff) ==
+        BackgroundErrorManager::Decision::kFail) {
+      return;
+    }
+    std::this_thread::sleep_for(backoff);
+  }
+}
+
 void DB::IndexThread() {
   trace_.SetThreadName("index");
   std::unique_lock<std::mutex> lock(index_mu_);
@@ -1290,28 +1188,12 @@ void DB::IndexThread() {
       // records into the sub-skiplist without blocking writers. Sync is
       // idempotent (replays from the last synced offset), so transient
       // failures simply back off and run it again.
-      int attempt = 0;
-      for (;;) {
-        Status s;
-        {
-          OBS_SPAN(&metrics_, "index.sync");
-          obs::TraceScope sync_trace(&trace_, "index.sync");
-          s = [&]() -> Status {
-            CACHEKV_FAIL_POINT("index.sync");
-            return table->index->SyncWithTable(table->table);
-          }();
-        }
-        if (s.ok() || shutting_down_.load(std::memory_order_acquire)) {
-          break;
-        }
-        std::chrono::milliseconds backoff(0);
-        if (bg_errors_.OnError("index.sync", s, attempt, &backoff) ==
-            BackgroundErrorManager::Decision::kFail) {
-          break;
-        }
-        attempt++;
-        std::this_thread::sleep_for(backoff);
-      }
+      RetryStage("index.sync", [&]() -> Status {
+        OBS_SPAN(&metrics_, "index.sync");
+        obs::TraceScope sync_trace(&trace_, "index.sync");
+        CACHEKV_FAIL_POINT("index.sync");
+        return table->index->SyncWithTable(table->table);
+      });
       index_syncs_->Increment();
       lock.lock();
       index_work_in_flight_--;
@@ -1329,20 +1211,11 @@ void DB::IndexThread() {
     // Retry-safe: the zone keeps its tables until DropTables succeeds,
     // and the L0 high-water mark is published before the LSM write, so
     // re-running the flush after a failure never loses visibility.
-    int attempt = 0;
-    while (zone_->TotalBytes() >= options_.imm_zone_flush_threshold) {
-      Status s = FlushZoneToL0();
-      if (s.ok() || shutting_down_.load(std::memory_order_acquire)) {
-        break;
-      }
-      std::chrono::milliseconds backoff(0);
-      if (bg_errors_.OnError("flush.zone", s, attempt, &backoff) ==
-          BackgroundErrorManager::Decision::kFail) {
-        break;
-      }
-      attempt++;
-      std::this_thread::sleep_for(backoff);
-    }
+    RetryStage("flush.zone", [&] {
+      return zone_->TotalBytes() >= options_.imm_zone_flush_threshold
+                 ? FlushZoneToL0()
+                 : Status::OK();
+    });
     lock.lock();
     index_work_in_flight_--;
     index_done_cv_.notify_all();
@@ -1354,27 +1227,21 @@ obs::MetricsSnapshot DB::GetMetricsSnapshot() {
   // one scrape carries the whole stack (engine spans + PMem media +
   // LLC). Gauges, not counters: the device owns the source of truth and
   // we overwrite with its current value on every snapshot.
+  auto gauge = [this](std::string_view name, double value) {
+    metrics_.GetGauge(name)->Set(value);
+  };
   const PmemCounters& pc = env_->device()->counters();
-  metrics_.GetGauge("pmem.rmw_count")
-      ->Set(static_cast<double>(pc.rmw_count.load()));
-  metrics_.GetGauge("pmem.media_bytes_written")
-      ->Set(static_cast<double>(pc.media_bytes_written.load()));
-  metrics_.GetGauge("pmem.bytes_received")
-      ->Set(static_cast<double>(pc.bytes_received.load()));
-  metrics_.GetGauge("pmem.nt_bytes")
-      ->Set(static_cast<double>(pc.nt_bytes_received.load()));
-  metrics_.GetGauge("pmem.write_amplification")
-      ->Set(pc.WriteAmplification());
-  metrics_.GetGauge("pmem.write_hit_ratio")->Set(pc.WriteHitRatio());
-  metrics_.GetGauge("pmem.injected_ns")
-      ->Set(static_cast<double>(env_->latency()->total_injected_ns()));
+  gauge("pmem.rmw_count", pc.rmw_count.load());
+  gauge("pmem.media_bytes_written", pc.media_bytes_written.load());
+  gauge("pmem.bytes_received", pc.bytes_received.load());
+  gauge("pmem.nt_bytes", pc.nt_bytes_received.load());
+  gauge("pmem.write_amplification", pc.WriteAmplification());
+  gauge("pmem.write_hit_ratio", pc.WriteHitRatio());
+  gauge("pmem.injected_ns", env_->latency()->total_injected_ns());
   const CacheStats& cs = env_->cache()->stats();
-  metrics_.GetGauge("cache.clwb_lines")
-      ->Set(static_cast<double>(cs.clwb_lines.load()));
-  metrics_.GetGauge("cache.fences")
-      ->Set(static_cast<double>(cs.fences.load()));
-  metrics_.GetGauge("cache.dirty_evictions")
-      ->Set(static_cast<double>(cs.dirty_evictions.load()));
+  gauge("cache.clwb_lines", cs.clwb_lines.load());
+  gauge("cache.fences", cs.fences.load());
+  gauge("cache.dirty_evictions", cs.dirty_evictions.load());
   return metrics_.Snapshot();
 }
 

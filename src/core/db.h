@@ -6,11 +6,11 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,10 +99,13 @@ class DB : public KVStore {
     const SequenceNumber sequence_;
   };
 
-  /// Pins the current last-committed sequence number: flush, compaction,
+  /// Pins the current last-reserved sequence number: flush, compaction,
   /// and vlog GC retain every version the pin can still resolve until it
-  /// is released. Returns null when max_pinned_snapshots pins are
-  /// already live (the caller should back off or release one).
+  /// is released. Before returning it waits for the writes still in
+  /// flight at or below the pin to publish (no write fence: a pin never
+  /// blocks a writer), so the view is stable from the first read on.
+  /// Returns null when max_pinned_snapshots pins are already live (the
+  /// caller should back off or release one).
   const Snapshot* GetSnapshot();
 
   /// Unpins and destroys `snapshot` (null is a no-op). Versions retained
@@ -177,24 +180,26 @@ class DB : public KVStore {
   /// writes size their batches against this; see src/net/server.cc).
   uint64_t ApproxMultiPutCapacityBytes() const;
 
+  using OpView = KVStore::OpView;
+
   /// Observer of every successful write commit, invoked after the
   /// batch is durably published, with the committed ops and the
   /// sequence number of the batch's last record. Single writes surface
   /// as a one-element batch (a Delete as an is_delete op). The
   /// replication layer taps this to append to the per-shard
-  /// replication log (src/repl/).
+  /// replication log (src/repl/). The views are borrowed: copy what
+  /// must outlive the call.
   ///
   /// Invocations are totally ordered by sequence number: when two
   /// concurrent writes race (even to the same key), their hooks fire
   /// in the order their sequence blocks were allocated, so a log built
-  /// from the hook replays to the same state the DB converged to. To
-  /// keep that order, a hook may run on a *different* writer's thread
-  /// than the one that committed the batch (the later-sequenced writer
-  /// that published first drains it). Hooks must be fast and
-  /// non-blocking.
-  using CommitHook =
-      std::function<void(const std::vector<BatchOp>& ops,
-                         SequenceNumber last_seq)>;
+  /// from the hook replays to the same state the DB converged to. Each
+  /// hook runs on its own writer's thread, which first waits until
+  /// every earlier sequence has settled (published, with its hook run,
+  /// or abandoned). Hooks must be fast and non-blocking, and must not
+  /// pin a snapshot.
+  using CommitHook = std::function<void(std::span<const OpView> ops,
+                                        SequenceNumber last_seq)>;
 
   /// Installs `hook` (empty disables). Not synchronized against
   /// in-flight writes: set it before the DB starts serving.
@@ -221,9 +226,6 @@ class DB : public KVStore {
   struct ActiveTable {
     SubMemTable table;
     std::shared_ptr<SubSkiplist> index;
-    /// Serializes appends when more threads than writer slots exist;
-    /// uncontended in the per-core regime.
-    std::mutex append_mu;
     std::atomic<uint64_t> writes_since_sync{0};
     std::atomic<bool> sync_scheduled{false};
 
@@ -260,35 +262,47 @@ class DB : public KVStore {
   /// True when a Put of (key, value) goes through the value log.
   bool ShouldSeparate(const Slice& key, const Slice& value) const;
 
-  /// GC relocation of one vlog record, under the global write fence (all
-  /// core locks, so no writer sits between sequence allocation and
-  /// publication). Re-appends `value` under a fresh sequence and commits
-  /// the new pointer iff the freshest committed version of `key` is
-  /// exactly `old_ptr`; otherwise the record is dead and *relocated
-  /// stays false. `record_seq` is the record's original sequence;
-  /// *snapshot_pinned reports whether a pinned snapshot still resolves
-  /// the old pointer (relocated or not), which blocks the segment's
-  /// unlink (docs/SNAPSHOTS.md).
+  /// GC relocation of one vlog record. Re-appends `value` under a
+  /// fresh sequence and commits the new pointer iff the freshest
+  /// committed version of `key` is exactly `old_ptr`; otherwise the
+  /// record is dead and *relocated stays false. A live record reserves
+  /// its sequence under the GC thread's own core lock and waits until
+  /// every earlier sequence is visible before it re-probes, so no older
+  /// write can commit after the probe; a dead one reserves nothing.
+  /// `record_seq` is the record's original sequence; *snapshot_pinned
+  /// reports whether a pinned snapshot still resolves the old pointer
+  /// (relocated or not), which blocks the segment's unlink
+  /// (docs/SNAPSHOTS.md).
   Status RelocateForGc(SequenceNumber record_seq, const Slice& key,
                        const ValuePointer& old_ptr, const Slice& value,
                        bool* relocated, bool* snapshot_pinned);
 
-  Status Write(ValueType type, const Slice& key, const Slice& value);
-  Status WriteToCore(int core, SequenceNumber seq, ValueType type,
-                     const Slice& key, const Slice& value);
-  /// Reserves a block of `n` sequence numbers, returning the first.
-  /// With a commit hook installed the block is also registered as
-  /// in-flight (atomically with the reservation) so DispatchCommitHook
-  /// can order hook invocations across racing writers.
-  SequenceNumber AllocSeqBlock(size_t n);
-  /// Retires the in-flight block starting at `first_seq` and fires the
-  /// commit hook for it — in sequence order: a block that outran an
-  /// earlier writer is buffered until that writer publishes or fails.
-  /// `ops` == nullptr means the write failed after reserving its block
-  /// (the hook is skipped but successors it was blocking are drained).
-  void DispatchCommitHook(SequenceNumber first_seq,
-                          SequenceNumber last_seq,
-                          const std::vector<BatchOp>* ops);
+  /// The one commit path behind Put, Delete and MultiPut: checks the
+  /// ops, makes room under the calling core's lock and only then
+  /// reserves one sequence block, appends separated values to the vlog,
+  /// publishes every record with one AppendRecords call, and runs the
+  /// commit hook in sequence order.
+  Status Commit(std::span<const OpView> ops);
+
+  /// Makes `core`'s sub-MemTable one with room for `bytes` more record
+  /// bytes, sealing and replacing full tables. The caller holds the
+  /// core's lock and reserves its sequences only after this returns.
+  Status MakeRoom(int core, uint64_t bytes);
+
+  /// Appends `count` encoded records, which MakeRoom made room for, to
+  /// `core`'s sub-MemTable with one header CAS. The caller holds the
+  /// core's lock.
+  Status AppendRecords(int core, const Slice& records, uint32_t count);
+
+  /// The highest sequence S such that every sequence <= S is settled:
+  /// published, or abandoned by a failed write. min(LastSequence(),
+  /// lowest in-flight slot - 1).
+  SequenceNumber VisibleSequence() const;
+
+  /// Waits (a bounded yield, then short sleeps) until
+  /// VisibleSequence() >= seq.
+  void WaitVisible(SequenceNumber seq) const;
+
   // Seals `current`, hands it to the flushers, and acquires a
   // replacement for `core` (waiting on the flushers when the pool is
   // exhausted). Returns the new table via metadata_[core].
@@ -302,6 +316,9 @@ class DB : public KVStore {
   Status CopyFlushOne(std::shared_ptr<ActiveTable> sealed);
   Status FlushZoneToL0();
   void ScheduleSync(const std::shared_ptr<ActiveTable>& table);
+  // Runs a background stage until it succeeds, the DB shuts down, or
+  // the error policy gives up, sleeping out each backoff in between.
+  void RetryStage(const char* stage, const std::function<Status()>& run);
 
   PmemEnv* env_;
   CacheKVOptions options_;
@@ -355,24 +372,24 @@ class DB : public KVStore {
   std::multiset<SequenceNumber> pinned_snapshots_;
   CommitHook commit_hook_;
 
-  // Commit-hook ordering (engaged only while commit_hook_ is set).
-  // hook_inflight_ holds the first_seq of every reserved-but-unsettled
-  // sequence block; hook_pending_ buffers committed batches whose hook
-  // cannot fire yet because an earlier block is still in flight.
-  struct PendingHook {
-    std::vector<BatchOp> ops;
-    SequenceNumber last_seq;
-  };
-  std::mutex hook_mu_;
-  std::set<SequenceNumber> hook_inflight_;
-  std::map<SequenceNumber, PendingHook> hook_pending_;
-
   // Per-core assignments (the global metadata structure of Figure 7;
   // kept in DRAM to avoid PMem write amplification). Each slot is
-  // guarded by its core mutex, which stands in for per-core exclusivity
+  // guarded by its core lock, which stands in for per-core exclusivity
   // when more threads than writer slots exist.
+  //
+  // Each core lock also carries the core's in-flight sequence: 0 when
+  // idle, else a lower bound on the first sequence its holder reserved
+  // and has not yet settled. Only the holder writes it; it is stored
+  // before the sequence fetch_add, set to the exact first sequence right
+  // after, and cleared on every exit, so VisibleSequence() never passes
+  // an unpublished write.
+  struct alignas(64) CoreLock {
+    std::mutex mu;
+    std::atomic<SequenceNumber> inflight{0};
+  };
+  class Reservation;
   static constexpr int kMaxCoreLocks = 64;
-  std::mutex core_mu_[kMaxCoreLocks];
+  CoreLock cores_[kMaxCoreLocks];
   std::vector<std::shared_ptr<ActiveTable>> metadata_;
   // All tables currently serving reads from the pool (active + sealed
   // but not yet copy-flushed). Guarded by tables_mu_; readers hold it

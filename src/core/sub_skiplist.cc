@@ -50,9 +50,10 @@ Status SubSkiplist::SyncWithTable(const SubMemTable& table) {
   // Repeat the catch-up until the counters agree: the table may keep
   // absorbing writes while we sync (§III-B).
   for (;;) {
-    if (h.counter < list_counter()) {
-      // The slot was flushed, released, and recycled beneath a stale
-      // sync request: this index is already final. Nothing to do.
+    if (h.counter < list_counter() ||
+        frozen_.load(std::memory_order_acquire)) {
+      // The table was flushed (and its slot possibly recycled beneath a
+      // stale sync request): this index is already final.
       return Status::OK();
     }
     Status s = SyncTo(h.counter, h.tail);
@@ -70,7 +71,8 @@ Status SubSkiplist::SyncTo(uint64_t target_counter, uint32_t target_tail) {
   std::lock_guard<std::mutex> lock(sync_mu_);
   uint64_t counter = list_counter_.load(std::memory_order_relaxed);
   uint32_t tail = list_tail_.load(std::memory_order_relaxed);
-  if (counter >= target_counter) {
+  if (counter >= target_counter ||
+      frozen_.load(std::memory_order_relaxed)) {
     return Status::OK();
   }
   const uint64_t base = data_base();
@@ -108,6 +110,11 @@ Status SubSkiplist::SyncTo(uint64_t target_counter, uint32_t target_tail) {
         "sub-memtable tail exhausted before counter target");
   }
   return Status::OK();
+}
+
+void SubSkiplist::Freeze() {
+  std::lock_guard<std::mutex> lock(sync_mu_);
+  frozen_.store(true, std::memory_order_release);
 }
 
 bool SubSkiplist::Get(const Slice& user_key, Candidate* out,

@@ -51,6 +51,12 @@ class SubSkiplist {
   /// flusher's final sync and by crash recovery over relocated data.
   Status SyncTo(uint64_t target_counter, uint32_t target_tail);
 
+  /// Marks the index final once its table is flushed: later SyncTo /
+  /// SyncWithTable calls are no-ops, so a sync request still queued when
+  /// the pool slot is recycled cannot read the new table's header
+  /// against this index. Waits out a sync in progress.
+  void Freeze();
+
   /// Freshest indexed entry for user_key.
   struct Candidate {
     SequenceNumber sequence = 0;
@@ -79,20 +85,10 @@ class SubSkiplist {
   uint64_t list_counter() const {
     return list_counter_.load(std::memory_order_acquire);
   }
-  uint32_t list_tail() const {
-    return list_tail_.load(std::memory_order_acquire);
-  }
 
   /// Highest sequence number indexed so far.
   SequenceNumber max_sequence() const {
     return max_sequence_.load(std::memory_order_acquire);
-  }
-
-  /// Number of writes appended to the table but not yet indexed, based
-  /// on the given table counter (trigger-2 bookkeeping).
-  uint64_t Lag(uint64_t table_counter) const {
-    uint64_t lc = list_counter();
-    return table_counter > lc ? table_counter - lc : 0;
   }
 
   /// Iterator over indexed entries in internal-key order; value() loads
@@ -115,8 +111,6 @@ class SubSkiplist {
   /// Returns a cursor positioned before the first entry.
   std::unique_ptr<RawCursor> NewRawCursor() const;
 
-  size_t ApproximateMemoryUsage() const { return arena_.MemoryUsage(); }
-
  private:
   friend class SubSkiplistRawCursor;
 
@@ -134,6 +128,7 @@ class SubSkiplist {
   Arena arena_;
   Index index_;
   std::mutex sync_mu_;
+  std::atomic<bool> frozen_{false};  // set under sync_mu_
   std::atomic<uint64_t> list_counter_{0};
   std::atomic<uint32_t> list_tail_{0};
   std::atomic<uint64_t> max_sequence_{0};

@@ -547,13 +547,13 @@ Status ParseSnapshotPayload(const Slice& payload, SnapshotResponse* out) {
 // Replication ops. ----------------------------------------------------
 
 void EncodeReplOps(std::string* out,
-                   const std::vector<KVStore::BatchOp>& ops) {
+                   std::span<const KVStore::OpView> ops) {
   PutFixed32(out, static_cast<uint32_t>(ops.size()));
-  for (const KVStore::BatchOp& op : ops) {
+  for (const KVStore::OpView& op : ops) {
     out->push_back(op.is_delete ? 1 : 0);
     AppendKey(out, op.key);
     PutFixed32(out, static_cast<uint32_t>(op.value.size()));
-    out->append(op.value);
+    out->append(op.value.data(), op.value.size());
   }
 }
 

@@ -2,6 +2,7 @@
 #define CACHEKV_NET_PROTOCOL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -356,7 +357,7 @@ struct ReplRecord {
 /// per op: u8 is_delete, u32 klen, key, u32 vlen, value — the MULTIPUT
 /// body format).
 void EncodeReplOps(std::string* out,
-                   const std::vector<KVStore::BatchOp>& ops);
+                   std::span<const KVStore::OpView> ops);
 /// Decodes an EncodeReplOps blob; rejects truncation, trailing bytes,
 /// oversized counts, and deletes carrying values.
 Status ParseReplOps(const Slice& blob,

@@ -1111,6 +1111,8 @@ size_t Server::HandleWriteRun(Conn* conn, const std::vector<Frame>& frames,
     }
     if (!s.ok()) {
       verdicts[i] = DecodeFailure(s.ToString());
+    } else if (ops[i].key.empty()) {
+      verdicts[i] = {kInvalidArgument, "empty key"};
     }
   }
   timeline.Stage("req.decode");

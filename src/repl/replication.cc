@@ -94,7 +94,7 @@ void ReplHub::SetSelfEndpoint(const std::string& endpoint) {
 void ReplHub::AttachCommitHooks() {
   for (uint32_t s = 0; s < dbs_.size(); s++) {
     dbs_[s]->SetCommitHook(
-        [this, s](const std::vector<KVStore::BatchOp>& ops,
+        [this, s](std::span<const KVStore::OpView> ops,
                   SequenceNumber last_seq) { OnCommit(s, ops, last_seq); });
   }
 }
@@ -157,8 +157,7 @@ void ReplHub::UpdateLagGauge(uint32_t shard) {
       ->Set(static_cast<double>(lag));
 }
 
-void ReplHub::OnCommit(uint32_t shard,
-                       const std::vector<KVStore::BatchOp>& ops,
+void ReplHub::OnCommit(uint32_t shard, std::span<const KVStore::OpView> ops,
                        uint64_t last_db_seq) {
   std::string blob;
   net::EncodeReplOps(&blob, ops);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,7 +108,7 @@ class ReplHub {
   uint64_t Epoch(uint32_t shard) const;
 
   /// Commit-path tap (runs on the writer thread via DB::CommitHook).
-  void OnCommit(uint32_t shard, const std::vector<KVStore::BatchOp>& ops,
+  void OnCommit(uint32_t shard, std::span<const KVStore::OpView> ops,
                 uint64_t last_db_seq);
 
   /// Blocks until the calling thread's own just-committed write (its

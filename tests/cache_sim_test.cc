@@ -186,6 +186,39 @@ TEST_F(CacheSimTest, NtStorePartialLineMergesDirtyCachedBytes) {
   EXPECT_EQ('z', out[63]) << "dirty cached byte must survive the merge";
 }
 
+TEST_F(CacheSimTest, PartialNtStoreIsNotUndoneByARacingFill) {
+  // An appender nt-stores records that share lines, as the value log
+  // does, while a reader loads the newest published record. The
+  // reader's cache fill of a line the next append is writing must not
+  // leave that line's old bytes cached: each read-back must see its
+  // record.
+  MakeCache(1 << 20, 8, 0);
+  constexpr int kRecords = 20000;
+  constexpr size_t kRecord = 40;  // not a line multiple
+  std::atomic<uint64_t> published{0};
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    char buf[kRecord];
+    while (!done.load()) {
+      const uint64_t end = published.load();
+      if (end >= kRecord) cache_->Load(end - kRecord, buf, kRecord);
+    }
+  });
+  int stale = 0;
+  char record[kRecord], got[kRecord];
+  for (int i = 0; i < kRecords; i++) {
+    memset(record, 'a' + i % 26, kRecord);
+    const uint64_t addr = static_cast<uint64_t>(i) * kRecord;
+    cache_->NtStore(addr, record, kRecord);
+    cache_->Load(addr, got, kRecord);
+    if (memcmp(record, got, kRecord) != 0) stale++;
+    published.store(addr + kRecord);
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(0, stale);
+}
+
 TEST_F(CacheSimTest, SequentialNtStoreGetsHighXPBufferHitRatio) {
   MakeCache(1 << 20, 8, 0);
   std::string big(64 * 1024, 'q');

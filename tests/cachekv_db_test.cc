@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/db.h"
+#include "fault/fail_point.h"
 #include "pmem/pmem_env.h"
 #include "util/json.h"
 #include "util/random.h"
@@ -104,6 +105,66 @@ TEST_F(CacheKVDbTest, OversizedRecordRejected) {
   OpenDb(opts);
   std::string huge(1ull << 20, 'x');  // > 512K sub-memtable
   EXPECT_TRUE(db_->Put("k", huge).IsInvalidArgument());
+}
+
+TEST_F(CacheKVDbTest, EmptyKeyWritesAreRejected) {
+  // Records never start with a zero key length, so an empty key that
+  // reached a sub-MemTable would end every later sync of its table.
+  OpenDb(SmallDb());
+  ASSERT_TRUE(db_->Put("a", "va").ok());
+  EXPECT_TRUE(db_->Put("", "v").IsInvalidArgument());
+  EXPECT_TRUE(db_->Delete("").IsInvalidArgument());
+  EXPECT_TRUE(
+      db_->MultiPut({{false, "b", "vb"}, {false, "", "v"}})
+          .IsInvalidArgument());
+  std::string value;
+  ASSERT_TRUE(db_->Get("a", &value).ok());
+  EXPECT_EQ("va", value);
+  EXPECT_TRUE(db_->Get("b", &value).IsNotFound());
+}
+
+TEST_F(CacheKVDbTest, QueuedSyncOfAFlushedTableIsHarmless) {
+  // The delayed index thread pops sync requests long after their tables
+  // were copy-flushed and their pool slots recycled. Batches of 1-8
+  // records vary the seal points, so a recycled slot's record counter
+  // soon passes the flushed table's; a sync that then read the new
+  // table's header against the old index would walk off its data.
+  CacheKVOptions opts = SmallDb();
+  opts.pool_bytes = 1ull << 20;
+  opts.sub_memtable_bytes = 128ull << 10;
+  opts.min_sub_memtable_bytes = 64ull << 10;
+  opts.num_cores = 2;
+  opts.sync_write_threshold = 16;
+  OpenDb(opts);
+  auto* faults = fault::FailPointRegistry::Global();
+  struct Disarm {
+    fault::FailPointRegistry* reg;
+    ~Disarm() { reg->DisableAll(); }
+  } disarm{faults};
+  ASSERT_TRUE(faults->Enable("index.sync", "delay:5000").ok());
+
+  Random rnd(15);
+  std::map<std::string, std::string> model;
+  size_t records = 0;
+  while (records < 200000) {
+    std::vector<DB::BatchOp> batch(1 + rnd.Uniform(8));
+    for (DB::BatchOp& op : batch) {
+      op.key = Cat("k", rnd.Uniform(5000));
+      op.value = Cat("v", records, std::string(90, 'q'));
+      model[op.key] = op.value;
+    }
+    Status s = db_->MultiPut(batch);
+    ASSERT_TRUE(s.ok()) << "after " << records << " records: "
+                        << s.ToString();
+    records += batch.size();
+  }
+  faults->DisableAll();
+  ASSERT_TRUE(db_->WaitIdle().ok());
+  for (const auto& [key, value] : model) {
+    std::string got;
+    ASSERT_TRUE(db_->Get(key, &got).ok()) << key;
+    ASSERT_EQ(value, got) << key;
+  }
 }
 
 TEST_F(CacheKVDbTest, OversizedValueSeparatedIntoVlog) {

@@ -740,8 +740,8 @@ TEST(NetProtocolTest, ReplBatchRoundTrip) {
   ReplRecord rec;
   rec.log_seq = 101;
   rec.last_db_seq = 555;
-  EncodeReplOps(&rec.ops_blob,
-                {{false, "k1", "v1"}, {true, "k2", ""}});
+  EncodeReplOps(&rec.ops_blob, std::vector<KVStore::OpView>{
+                                   {false, "k1", "v1"}, {true, "k2", ""}});
   resp.records.push_back(rec);
   std::string payload;
   EncodeReplBatchPayload(&payload, resp);
@@ -837,7 +837,8 @@ TEST(NetProtocolTest, PromoteRoundTrip) {
 
 TEST(NetProtocolTest, ReplOpsBlobRejectsCorruption) {
   std::string blob;
-  EncodeReplOps(&blob, {{false, "key", "value"}, {true, "dead", ""}});
+  EncodeReplOps(&blob, std::vector<KVStore::OpView>{
+                           {false, "key", "value"}, {true, "dead", ""}});
   std::vector<KVStore::BatchOp> ops;
   // Every truncation point must fail cleanly.
   for (size_t cut = 0; cut < blob.size(); cut++) {

@@ -323,6 +323,57 @@ TEST_F(NetServerTest, ResponseFlaggedWritesAreRejectedAloneAndInRuns) {
   }
 }
 
+// An empty key is refused in its turn; it never reaches the store,
+// whose reads it would poison.
+TEST_F(NetServerTest, LoneEmptyKeyPutIsRefused) {
+  StartServer();
+  net::Client client;
+  MakeClient(&client);
+  ASSERT_TRUE(client.Put("a", "va").ok());
+  std::string frame;
+  net::EncodePutRequest(&frame, 1, "", "v");
+  const int fd = ConnectRaw(server_->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(static_cast<ssize_t>(frame.size()),
+            ::send(fd, frame.data(), frame.size(), 0));
+  const auto responses = ReadResponses(fd, 1);
+  ::close(fd);
+  ASSERT_EQ(1u, responses.size());
+  EXPECT_EQ(net::kInvalidArgument, responses[0].second)
+      << net::WireCodeName(responses[0].second);
+  std::string value;
+  ASSERT_TRUE(client.Get("a", &value).ok());
+  EXPECT_EQ("va", value);
+}
+
+TEST_F(NetServerTest, EmptyKeyInAPipelinedRunErrsAlone) {
+  StartServer();
+  std::string flight;
+  net::EncodePutRequest(&flight, 1, "a", "va");
+  net::EncodePutRequest(&flight, 2, "", "v");
+  net::EncodePutRequest(&flight, 3, "b", "vb");
+  const int fd = ConnectRaw(server_->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(static_cast<ssize_t>(flight.size()),
+            ::send(fd, flight.data(), flight.size(), 0));
+  const auto responses = ReadResponses(fd, 3);
+  ::close(fd);
+  const std::vector<uint16_t> want = {net::kOk, net::kInvalidArgument,
+                                      net::kOk};
+  ASSERT_EQ(want.size(), responses.size());
+  for (size_t i = 0; i < responses.size(); i++) {
+    EXPECT_EQ(i + 1, responses[i].first);
+    EXPECT_EQ(want[i], responses[i].second)
+        << "request " << i + 1 << ": "
+        << net::WireCodeName(responses[i].second);
+  }
+  std::string value;
+  ASSERT_TRUE(db_->Get("a", &value).ok());
+  EXPECT_EQ("va", value);
+  ASSERT_TRUE(db_->Get("b", &value).ok());
+  EXPECT_EQ("vb", value);
+}
+
 // A lone write is a run of one: timed under its own op, never counted
 // as a batched commit.
 TEST_F(NetServerTest, LoneWritesKeepTheirOwnHistograms) {

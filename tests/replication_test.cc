@@ -308,7 +308,7 @@ TEST_F(ReplicationTest, CommitHooksFireInSequenceOrderAcrossWriters) {
   // same-key writes could reach followers in reverse commit order.
   std::mutex mu;
   std::vector<SequenceNumber> seen;
-  db->SetCommitHook([&](const std::vector<KVStore::BatchOp>& ops,
+  db->SetCommitHook([&](std::span<const KVStore::OpView> ops,
                         SequenceNumber last_seq) {
     (void)ops;
     std::lock_guard<std::mutex> lock(mu);

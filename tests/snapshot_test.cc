@@ -277,6 +277,65 @@ TEST_F(SnapshotDbTest, PinSurvivesCompactionAndVlogGc) {
             db_->CounterValue("snap.releases"));
 }
 
+TEST_F(SnapshotDbTest, PinnedViewIsStableWhileWritersRace) {
+  // Each writer streams ascending versions to its own keys while a
+  // reader pins, reads every key at the pin, yields, and reads again.
+  // A pin that overtook a write still in flight at or below it would
+  // see that write publish between the two reads. Values are above the
+  // separation threshold, so each write's vlog append widens the gap
+  // between its sequence reservation and its publish.
+  constexpr int kWriters = 3;
+  constexpr int kKeysPerWriter = 4;
+  constexpr int kPins = 200;
+  const std::string pad(opts_.value_separation_threshold, 'p');
+  auto key_of = [](int w, int k) {
+    return "race" + std::to_string(w) + "-" + std::to_string(k);
+  };
+  for (int w = 0; w < kWriters; w++) {
+    for (int k = 0; k < kKeysPerWriter; k++) {
+      ASSERT_TRUE(db_->Put(key_of(w, k), "0" + pad).ok());
+    }
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> write_errors{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; w++) {
+    writers.emplace_back([&, w] {
+      for (int v = 1; !stop.load() && v < 20000; v++) {
+        for (int k = 0; k < kKeysPerWriter; k++) {
+          if (!db_->Put(key_of(w, k), std::to_string(v) + pad).ok()) {
+            write_errors.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  auto read_all = [&](SequenceNumber pin) {
+    std::vector<std::string> values;
+    for (int w = 0; w < kWriters; w++) {
+      for (int k = 0; k < kKeysPerWriter; k++) {
+        std::string got;
+        EXPECT_TRUE(db_->GetAt(key_of(w, k), pin, &got).ok());
+        values.push_back(got.substr(0, got.size() - pad.size()));
+      }
+    }
+    return values;
+  };
+  int unstable = 0;
+  for (int i = 0; i < kPins; i++) {
+    const DB::Snapshot* snap = db_->GetSnapshot();
+    ASSERT_NE(nullptr, snap);
+    const std::vector<std::string> first = read_all(snap->sequence());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (read_all(snap->sequence()) != first) unstable++;
+    db_->ReleaseSnapshot(snap);
+  }
+  stop.store(true);
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(0, unstable) << "pinned reads changed under a live pin";
+  EXPECT_EQ(0, write_errors.load());
+}
+
 TEST_F(SnapshotDbTest, PinCapReturnsNullNotCrash) {
   std::vector<const DB::Snapshot*> pins;
   for (uint32_t i = 0; i < opts_.max_pinned_snapshots; i++) {

@@ -407,7 +407,7 @@ TEST_F(SubMemTablePoolTest, ConcurrentAcquireReleaseStress) {
   std::atomic<int> errors{0};
   std::vector<std::thread> threads;
   for (int w = 0; w < 8; w++) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, w] {
       Random rng(w);
       for (int i = 0; i < 500; i++) {
         SubMemTable t(&env_, 0, 1 << 20);
