@@ -339,10 +339,6 @@ class DB : public KVStore {
   // which is stopped first in ~DB.
   std::unique_ptr<ValueLog> vlog_;
   std::unique_ptr<VlogGc> vlog_gc_;
-  // Credits dropped pointer entries back to the vlog as dead bytes.
-  // Compaction invokes it through the engine; the zone→L0 flush buffers
-  // its drops and delivers them here only after the flush commits.
-  DroppedEntryFn drop_observer_;
 
   // Hot-path counters, cached once from the registry (which owns them;
   // DumpMetrics() is the single source of truth for their values).

@@ -369,22 +369,15 @@ std::vector<FlushedTable> FlushedZone::SnapshotTables() const {
 }
 
 Iterator* FlushedZone::NewL0Stream(
-    const std::vector<FlushedTable>& snapshot, DroppedEntryLog* dropped,
-    std::vector<SequenceNumber> snapshots, DroppedEntryFn on_retain) {
+    const std::vector<FlushedTable>& snapshot,
+    std::vector<SequenceNumber> snapshots, RetainedEntryFn on_retain) {
   std::vector<Iterator*> children;
   children.reserve(snapshot.size());
   for (const FlushedTable& t : snapshot) {
     children.push_back(t.index->NewIterator());
   }
-  DroppedEntryFn on_drop;
-  if (dropped != nullptr) {
-    on_drop = [dropped](const Slice& internal_key, const Slice& value) {
-      dropped->emplace_back(internal_key.ToString(), value.ToString());
-    };
-  }
-  return NewDedupingIterator(
-      NewMergingIterator(&icmp_, std::move(children)), std::move(on_drop),
-      std::move(snapshots), std::move(on_retain));
+  return NewDedupingIterator(NewMergingIterator(&icmp_, std::move(children)),
+                             std::move(snapshots), std::move(on_retain));
 }
 
 Status FlushedZone::DropTables(const std::vector<FlushedTable>& snapshot) {

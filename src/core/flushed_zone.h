@@ -156,20 +156,15 @@ class FlushedZone {
   /// removed (freshest per user key survives, tombstones included): the
   /// deferred space reclamation of §III-D. Feed this to the LSM's L0
   /// builder. The snapshot's tables must stay in the zone until the
-  /// returned iterator is destroyed. When `dropped` is non-null it
-  /// collects a copy of every superseded entry the stream discards;
-  /// `dropped` must outlive the iterator. The caller delivers the buffer
-  /// to its dead-entry observer only after the flush commits, so a
-  /// retried flush cannot double-count the same drops.
+  /// returned iterator is destroyed.
   ///
   /// `snapshots` (sorted ascending) lists the pinned snapshot sequence
   /// numbers at pass start; superseded versions a pinned snapshot still
   /// resolves survive the dedup (docs/SNAPSHOTS.md), and `on_retain`
   /// observes each such extra version kept.
   Iterator* NewL0Stream(const std::vector<FlushedTable>& snapshot,
-                        DroppedEntryLog* dropped = nullptr,
                         std::vector<SequenceNumber> snapshots = {},
-                        DroppedEntryFn on_retain = nullptr);
+                        RetainedEntryFn on_retain = nullptr);
 
   /// Removes and frees exactly the snapshot's tables (after they were
   /// written to L0) and persists the registry. Takes the exclusive lock

@@ -72,11 +72,9 @@ class MergingIterator : public Iterator {
 
 class DedupingIterator : public Iterator {
  public:
-  DedupingIterator(Iterator* base, DroppedEntryFn on_drop,
-                   std::vector<SequenceNumber> snapshots,
-                   DroppedEntryFn on_retain)
+  DedupingIterator(Iterator* base, std::vector<SequenceNumber> snapshots,
+                   RetainedEntryFn on_retain)
       : base_(base),
-        on_drop_(std::move(on_drop)),
         snapshots_(std::move(snapshots)),
         on_retain_(std::move(on_retain)) {}
 
@@ -119,9 +117,6 @@ class DedupingIterator : public Iterator {
         }
         return;
       }
-      if (on_drop_ != nullptr) {
-        on_drop_(base_->key(), base_->value());
-      }
     }
   }
 
@@ -140,9 +135,8 @@ class DedupingIterator : public Iterator {
   }
 
   std::unique_ptr<Iterator> base_;
-  DroppedEntryFn on_drop_;
   std::vector<SequenceNumber> snapshots_;  // sorted ascending
-  DroppedEntryFn on_retain_;
+  RetainedEntryFn on_retain_;
   std::string last_user_key_;
   SequenceNumber prev_seq_ = kMaxSequenceNumber;
   bool has_last_ = false;
@@ -256,11 +250,11 @@ bool SnapshotInStratum(const std::vector<SequenceNumber>& snapshots,
   return it != snapshots.end() && *it < prev_seq;
 }
 
-Iterator* NewDedupingIterator(Iterator* base, DroppedEntryFn on_drop,
+Iterator* NewDedupingIterator(Iterator* base,
                               std::vector<SequenceNumber> snapshots,
-                              DroppedEntryFn on_retain) {
-  return new DedupingIterator(base, std::move(on_drop),
-                              std::move(snapshots), std::move(on_retain));
+                              RetainedEntryFn on_retain) {
+  return new DedupingIterator(base, std::move(snapshots),
+                              std::move(on_retain));
 }
 
 Iterator* NewSnapshotFilterIterator(Iterator* base,

@@ -12,17 +12,10 @@
 
 namespace cachekv {
 
-/// Notified with the internal key and raw stored bytes of every entry a
-/// deduping stream discards as superseded. The value-separation layer
-/// uses this to credit dead bytes back to vlog segments.
-using DroppedEntryFn =
+/// Notified with the internal key and raw stored bytes of every
+/// superseded entry a deduping stream keeps for a pinned snapshot.
+using RetainedEntryFn =
     std::function<void(const Slice& internal_key, const Slice& value)>;
-
-/// Buffered (internal key, raw stored bytes) copies of dropped entries.
-/// Flush/compaction passes collect drops here and deliver them to the
-/// observer only once the pass commits, so a retried pass cannot credit
-/// the same dead bytes twice.
-using DroppedEntryLog = std::vector<std::pair<std::string, std::string>>;
 
 /// Resolves the raw stored bytes of a kTypeValuePointer entry into the
 /// user value (DB wires this to ValueLog::Read for scans).
@@ -38,8 +31,7 @@ Iterator* NewMergingIterator(const InternalKeyComparator* comparator,
                              std::vector<Iterator*> children);
 
 /// Wraps a sorted internal-key stream, dropping all but the first
-/// (freshest) entry of every user key. `on_drop` (optional) observes
-/// each discarded entry. Takes ownership of base.
+/// (freshest) entry of every user key. Takes ownership of base.
 ///
 /// `snapshots` (sorted ascending) is the list of pinned snapshot
 /// sequence numbers (docs/SNAPSHOTS.md): besides the freshest version,
@@ -51,9 +43,8 @@ Iterator* NewMergingIterator(const InternalKeyComparator* comparator,
 /// snapshot-induced space amplification, credited to
 /// snap.retained_bytes).
 Iterator* NewDedupingIterator(Iterator* base,
-                              DroppedEntryFn on_drop = nullptr,
                               std::vector<SequenceNumber> snapshots = {},
-                              DroppedEntryFn on_retain = nullptr);
+                              RetainedEntryFn on_retain = nullptr);
 
 /// True when some pinned snapshot in `snapshots` (sorted ascending)
 /// lies in [seq, prev_seq): the version with sequence `seq` is still

@@ -11,6 +11,7 @@ PmemAllocator::PmemAllocator(uint64_t base, uint64_t size)
   if (size_ > 0) {
     free_[base_] = size_;
   }
+  free_bytes_.store(size_, std::memory_order_relaxed);
 }
 
 Status PmemAllocator::Allocate(uint64_t size, uint64_t* offset) {
@@ -29,6 +30,7 @@ Status PmemAllocator::Allocate(uint64_t size, uint64_t* offset) {
       if (remaining > 0) {
         free_[new_start] = remaining;
       }
+      free_bytes_.fetch_sub(size, std::memory_order_relaxed);
       return Status::OK();
     }
   }
@@ -51,20 +53,19 @@ Status PmemAllocator::Free(uint64_t offset, uint64_t size) {
   if (next != free_.end() && offset + size > next->first) {
     return Status::InvalidArgument("double free (overlaps next extent)");
   }
-  if (next != free_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->first + prev->second > offset) {
-      return Status::InvalidArgument("double free (overlaps prev extent)");
+  auto prev = next == free_.begin() ? free_.end() : std::prev(next);
+  if (prev != free_.end() && prev->first + prev->second > offset) {
+    return Status::InvalidArgument("double free (overlaps prev extent)");
+  }
+  free_bytes_.fetch_add(size, std::memory_order_relaxed);
+  if (prev != free_.end() && prev->first + prev->second == offset) {
+    // Coalesce with the previous extent.
+    prev->second += size;
+    if (next != free_.end() && prev->first + prev->second == next->first) {
+      prev->second += next->second;
+      free_.erase(next);
     }
-    if (prev->first + prev->second == offset) {
-      // Coalesce with the previous extent.
-      prev->second += size;
-      if (next != free_.end() && prev->first + prev->second == next->first) {
-        prev->second += next->second;
-        free_.erase(next);
-      }
-      return Status::OK();
-    }
+    return Status::OK();
   }
   if (next != free_.end() && offset + size == next->first) {
     uint64_t merged = size + next->second;
@@ -109,17 +110,12 @@ Status PmemAllocator::Reserve(uint64_t offset, uint64_t size) {
   if (tail_len > 0) {
     free_[tail_start] = tail_len;
   }
+  free_bytes_.fetch_sub(size, std::memory_order_relaxed);
   return Status::OK();
 }
 
 uint64_t PmemAllocator::FreeBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [start, len] : free_) {
-    (void)start;
-    total += len;
-  }
-  return total;
+  return free_bytes_.load(std::memory_order_relaxed);
 }
 
 uint64_t PmemAllocator::AllocatedBytes() const {

@@ -1,6 +1,7 @@
 #ifndef CACHEKV_PMEM_PMEM_ALLOCATOR_H_
 #define CACHEKV_PMEM_PMEM_ALLOCATOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -39,7 +40,8 @@ class PmemAllocator {
   /// is not entirely free or out of bounds.
   Status Reserve(uint64_t offset, uint64_t size);
 
-  /// Total bytes currently free.
+  /// Total bytes currently free. Lock-free, so writers and the vlog GC
+  /// can poll it on every append.
   uint64_t FreeBytes() const;
 
   /// Total bytes currently allocated.
@@ -58,6 +60,7 @@ class PmemAllocator {
   // Free extents keyed by start offset; values are extent lengths.
   // Invariant: no two extents are adjacent or overlapping.
   std::map<uint64_t, uint64_t> free_;
+  std::atomic<uint64_t> free_bytes_{0};  // sum of free_, written under mu_
 };
 
 }  // namespace cachekv

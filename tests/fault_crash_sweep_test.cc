@@ -15,6 +15,7 @@
 #include "core/db.h"
 #include "fault/fail_point.h"
 #include "pmem/pmem_env.h"
+#include "test_util.h"
 
 namespace cachekv {
 namespace {
@@ -46,12 +47,11 @@ CacheKVOptions SweepDb() {
   o.lsm.base_level_bytes = 256ull << 10;
   o.lsm.target_file_size = 64ull << 10;
   o.lsm.background_compaction = false;
-  // Separation threshold between the two ValueOf sizes + small segments
-  // + eager GC, so the sweep workload exercises the full value-log
-  // path: appends, rollover, liveness accounting, and concurrent GC.
+  // Separation threshold between the two ValueOf sizes + small segments,
+  // with a collector thread in RunCase, so the sweep workload exercises
+  // the full value-log path: appends, rollover, and concurrent GC.
   o.value_separation_threshold = 512;
   o.vlog_segment_bytes = 64ull << 10;
-  o.vlog_gc_dead_ratio = 0.3;
   o.vlog_gc_interval_ms = 5;
   return o;
 }
@@ -134,6 +134,10 @@ class FaultCrashSweepTest : public ::testing::Test {
     {
       std::unique_ptr<DB> db;
       ASSERT_TRUE(DB::Open(env.get(), opts, false, &db).ok());
+      // The device never fills, so a collector thread stands in for
+      // space pressure: each segment is collected soon after it seals.
+      GcCollectorThread collector(db->vlog_gc(),
+                                  std::chrono::milliseconds(5));
 
       // Phase A: a clean prefix, so the store has sealed tables, zone
       // entries, and L0 files before the fault arms.

@@ -4,14 +4,18 @@
 // Helpers shared by the test suites.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <concepts>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "lsm/dbformat.h"
 #include "lsm/iterator.h"
+#include "vlog/vlog_gc.h"
 
 namespace cachekv {
 
@@ -31,6 +35,29 @@ std::string Cat(const Parts&... parts) {
   (AppendPart(&out, parts), ...);
   return out;
 }
+
+/// Calls `gc->CollectOnce()` on its own thread every `pause` until
+/// destroyed, so each segment is collected soon after it seals: the GC
+/// of a device under space pressure, without filling one.
+class GcCollectorThread {
+ public:
+  explicit GcCollectorThread(VlogGc* gc, std::chrono::milliseconds pause =
+                                             std::chrono::milliseconds(1))
+      : thread_([this, gc, pause] {
+          while (!stop_.load(std::memory_order_acquire)) {
+            gc->CollectOnce();
+            std::this_thread::sleep_for(pause);
+          }
+        }) {}
+  ~GcCollectorThread() {
+    stop_.store(true, std::memory_order_release);
+    thread_.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
 
 /// An in-memory run of entries kept in internal-key order: the sorted
 /// stream a memory component hands to LsmEngine::WriteL0Tables and to
